@@ -54,10 +54,8 @@ from .flow import (
     FlowConfig,
     FlowField,
     FlowResult,
-    ProductMaps,
     background_disparity,
     process_sequence,
-    smooth_products,
     solve_flow,
     spatial_gradients,
     temporal_gradient,
@@ -85,7 +83,6 @@ __all__ = [
     "LdeCoefficients",
     "NonCausalPair",
     "Priming",
-    "ProductMaps",
     "ResponseSample",
     "SpectrumFilterBank",
     "WeightSpec",
@@ -113,7 +110,6 @@ __all__ = [
     "process_sequence",
     "rotate_nearest",
     "rotating_sequence",
-    "smooth_products",
     "solve_flow",
     "spatial_gradients",
     "spectrum_filter_bank",

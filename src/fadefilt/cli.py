@@ -323,10 +323,7 @@ _FLOW_OVERRIDES = (
 def _load_frames(source: str) -> np.ndarray:
     path = Path(source)
     if path.is_dir():
-        frames = read_pgm_dir(path)
-        if not frames:
-            raise CliError(f"no PGM frames found in {source}")
-        return np.stack(frames)
+        return np.stack(read_pgm_dir(path))
     if path.suffix.lower() == ".f32":
         frames = read_float_stack(path)
         if frames.ndim != 3:
@@ -337,13 +334,13 @@ def _load_frames(source: str) -> np.ndarray:
 
 
 def _cmd_flow(args) -> int:
-    frames = _load_frames(args.frames)
     overrides = {name: getattr(args, name) for name in _FLOW_OVERRIDES
                  if getattr(args, name) is not None}
     try:
         cfg = FlowConfig(**overrides)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    frames = _load_frames(args.frames)
 
     n_frames, height, width = frames.shape
     if args.strict and n_frames < cfg.warmup_frames:

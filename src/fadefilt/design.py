@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.signal
 
 from .basis import BasisSet, orthonormal_basis, synthesis_weights
 from .weights import Causality, WeightSpec
@@ -97,6 +99,15 @@ class LdeCoefficients:
 
     def dc_gain(self) -> float:
         return float(np.sum(self.b) / np.sum(self.a))
+
+    @cached_property
+    def steady_state(self) -> np.ndarray:
+        """Delay-line contents at the fixed point under unit constant
+        input (transposed direct-form II convention); computed on first
+        use and kept, read-only."""
+        zi = scipy.signal.lfilter_zi(self.b, self.a)
+        zi.flags.writeable = False
+        return zi
 
 
 @dataclass(frozen=True)

@@ -108,16 +108,31 @@ def write_float_stack(path, frames) -> None:
 
 
 def read_float_stack(path) -> np.ndarray:
-    """Load a float32 raw stack via its sidecar; returns (F, H, W) float64."""
+    """Load a float32 raw stack via its sidecar; returns (F, H, W) float64.
+    The sidecar must give positive integer width and height and a
+    non-negative integer frame count (flow writes empty stacks for
+    streams shorter than its delay), and the data file must hold
+    exactly that many samples."""
     meta = json.loads(_sidecar(path).read_text())
-    try:
-        w, h, nf = int(meta["width"]), int(meta["height"]), int(meta["frames"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"bad sidecar for {path}: {e}") from None
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size != w * h * nf:
-        raise ValueError(f"{path}: size does not match sidecar")
-    return raw.reshape(nf, h, w).astype(float)
+    if not isinstance(meta, dict):
+        raise ValueError(f"bad sidecar for {path}: expected a JSON object")
+    dims = []
+    for field, least in (("width", 1), ("height", 1), ("frames", 0)):
+        value = meta.get(field)
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            kind = "positive" if least else "non-negative"
+            raise ValueError(
+                f"bad sidecar for {path}: {field!r} must be a {kind} integer, got {value!r}"
+            )
+        dims.append(value)
+    w, h, nf = dims
+    size = Path(path).stat().st_size
+    if size != 4 * nf * h * w:
+        raise ValueError(
+            f"{path}: size does not match sidecar ({size} bytes for "
+            f"{nf}x{h}x{w} float32 samples)"
+        )
+    return np.fromfile(path, dtype="<f4").reshape(nf, h, w).astype(float)
 
 
 # --------------------------------------------------------- signal CSV

@@ -5,23 +5,29 @@ intensity gradients and then flags pixels whose raw gradient products
 are not explained by that motion:
 
 1. temporal derivative I_z per pixel with the causal B=2, kappa=1, q=4
-   differentiator; input frames are buffered by round(q) so the other
-   gradients can be computed on the frame the estimate refers to;
+   differentiator; input frames are buffered by q, a whole number of
+   frames, so the other gradients can be computed on the frame the
+   estimate refers to;
 2. spatial derivatives I_x, I_y of the delayed frame with the
    non-causal B=2 differentiator along rows and columns;
-3. the five products IxIx, IxIy, IxIz, IyIy, IyIz smoothed separably
-   in x and y (two-sided single-pole smoother) and in time (causal
-   single-pole smoother), one shared pole for all three axes;
+3. the five products IxIx, IxIy, IxIz, IyIy, IyIz, held as one
+   (5, H, W) stack in that order, smoothed separably in x and y
+   (two-sided single-pole smoother) and in time (causal single-pole
+   smoother), one shared pole for all three axes;
 4. per-pixel 2x2 solve for (vx, vy); pixels with a near-singular
    structure tensor are marked invalid and carry zero flow;
 5. disparity dJ: norm of the raw spatiotemporal products minus the
    products predicted from the raw structure tensor and the estimated
    flow.  Large dJ marks independently moving foreground.
 
-Temporal recursions are primed by holding the first frame (and, for
-the product smoothers, the first smoothed product frame), which
-shortens but does not remove warm-up; outputs inside the warm-up span
-are flagged rather than suppressed.
+process_sequence runs a stream through one engine that builds the
+filters once and reuses one workspace, sized from the first frame, for
+every later frame; every frame must have the first frame's shape.
+
+The temporal differentiator is primed by holding the first frame and
+the product smoother starts from zero state, which shortens but does
+not remove warm-up; outputs inside the warm-up span are flagged rather
+than suppressed.
 """
 
 from __future__ import annotations
@@ -56,6 +62,10 @@ class FlowConfig:
             raise ValueError("smoothing_pole must lie in (0, 1)")
         if self.det_threshold < 0.0:
             raise ValueError("det_threshold must be >= 0")
+        if not (self.temporal_q >= 0.0 and float(self.temporal_q).is_integer()):
+            raise ValueError(
+                f"temporal_q must be a whole number of frames >= 0, got {self.temporal_q}"
+            )
         if self.temporal_kappa < 0:
             raise ValueError("temporal_kappa must be >= 0")
         if not (self.t_space > 0.0 and self.t_time > 0.0):
@@ -72,7 +82,7 @@ class FlowConfig:
     @property
     def frame_delay(self) -> int:
         """Frames the spatial path is delayed to align with I_z."""
-        return int(round(self.temporal_q))
+        return int(self.temporal_q)
 
     @property
     def warmup_frames(self) -> int:
@@ -112,23 +122,6 @@ class FlowConfig:
 
 
 @dataclass(frozen=True)
-class ProductMaps:
-    """Smoothed gradient products (the structure-tensor entries and the
-    spatiotemporal vector) plus the raw, unsmoothed products."""
-
-    jxx: np.ndarray
-    jxy: np.ndarray
-    jxz: np.ndarray
-    jyy: np.ndarray
-    jyz: np.ndarray
-    raw_xx: np.ndarray
-    raw_xy: np.ndarray
-    raw_xz: np.ndarray
-    raw_yy: np.ndarray
-    raw_yz: np.ndarray
-
-
-@dataclass(frozen=True)
 class FlowField:
     vx: np.ndarray
     vy: np.ndarray
@@ -165,86 +158,117 @@ def temporal_gradient(
     for n, frame in enumerate(stream):
         frame = np.asarray(frame, dtype=float)
         if state is None:
-            state = FrameFilter(diff, frame.shape, hold=frame)
+            shape = frame.shape
+            state = FrameFilter(diff, shape, hold=frame)
+        elif frame.shape != shape:
+            raise ValueError(f"frame {n} has shape {frame.shape}, but frame 0 had {shape}")
         iz = state.step(frame)
         buffer.append(frame)
         if len(buffer) > delay:
             yield n - delay, buffer.pop(0), iz
 
 
-class ProductSmoother:
-    """Stateful x/y/t smoothing of the five gradient products.
+class _FlowEngine:
+    """Filters and workspace of one frame stream after the temporal
+    gradient.
 
-    The temporal recursions start from zero state.  A shared start-up
-    attenuation on all five products cancels in the flow solve (both
-    the normal equations and the determinant gate are homogeneous in
-    the products), so zero priming converges much faster than holding
-    the first frame's products, which would lock in values computed
-    while the temporal differentiator was still settling."""
+    The spatial differentiator and the two product smoothers are built
+    once, and every intermediate plane is allocated from the first
+    frame's shape and reused for each later frame.  Each stage writes
+    into its buffer with out= ufuncs, in the floating-point order of the
+    standalone stage functions, so results match them bit for bit.
 
-    _KEYS = ("xx", "xy", "xz", "yy", "yz")
+    The temporal product smoother starts from zero state.  A shared
+    start-up attenuation on all five products cancels in the flow solve
+    (both the normal equations and the determinant gate are homogeneous
+    in the products), so zero priming converges much faster than
+    holding the first frame's products, which would lock in values
+    computed while the temporal differentiator was still settling."""
 
-    def __init__(self, cfg: FlowConfig):
+    def __init__(self, cfg: FlowConfig, shape: tuple[int, ...]):
         self.cfg = cfg
-        self._pair = cfg.spatial_smoother()
-        self._lde = cfg.temporal_smoother()
-        self._temporal: dict[str, FrameFilter] | None = None
+        self._differentiator = cfg.spatial_differentiator()
+        self._smoother = cfg.spatial_smoother()
+        self._temporal = FrameFilter(cfg.temporal_smoother(), (5,) + shape)
+        self._raw = np.empty((5,) + shape)
+        self._spatial = np.empty((5,) + shape)
+        self._smoothed = np.empty((5,) + shape)
+        self._scratch = np.empty((3,) + shape)
 
-    def step(self, ix: np.ndarray, iy: np.ndarray, iz: np.ndarray) -> ProductMaps:
-        raw = {
-            "xx": ix * ix, "xy": ix * iy, "xz": ix * iz,
-            "yy": iy * iy, "yz": iy * iz,
-        }
-        spatial = {}
-        for key, plane in raw.items():
-            s = filter_image_separable(self._pair, plane, Axis.ROWS)
-            spatial[key] = filter_image_separable(self._pair, s, Axis.COLS)
-        if self._temporal is None:
-            self._temporal = {
-                key: FrameFilter(self._lde, plane.shape) for key, plane in raw.items()
-            }
-        smoothed = {key: self._temporal[key].step(spatial[key]) for key in self._KEYS}
-        return ProductMaps(
-            jxx=smoothed["xx"], jxy=smoothed["xy"], jxz=smoothed["xz"],
-            jyy=smoothed["yy"], jyz=smoothed["yz"],
-            raw_xx=raw["xx"], raw_xy=raw["xy"], raw_xz=raw["xz"],
-            raw_yy=raw["yy"], raw_yz=raw["yz"],
-        )
-
-
-def smooth_products(
-    gradients: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], cfg: FlowConfig
-) -> Iterator[ProductMaps]:
-    """Smooth a stream of (ix, iy, iz) triples; temporal state persists
-    across the stream."""
-    smoother = ProductSmoother(cfg)
-    for ix, iy, iz in gradients:
-        yield smoother.step(ix, iy, iz)
+    def step(self, frame: np.ndarray, iz: np.ndarray) -> tuple[FlowField, np.ndarray]:
+        """Flow and disparity of ``frame``, whose temporal derivative is ``iz``."""
+        # ix and iy are dead once the products are formed, so all three
+        # scratch planes then serve the row pass and the solve
+        rows, ix, iy = self._scratch
+        filter_image_separable(self._differentiator, frame, Axis.ROWS, out=ix)
+        filter_image_separable(self._differentiator, frame, Axis.COLS, out=iy)
+        raw = self._raw
+        np.multiply(ix, ix, out=raw[0])
+        np.multiply(ix, iy, out=raw[1])
+        np.multiply(ix, iz, out=raw[2])
+        np.multiply(iy, iy, out=raw[3])
+        np.multiply(iy, iz, out=raw[4])
+        for product, spatial in zip(raw, self._spatial):
+            filter_image_separable(self._smoother, product, Axis.ROWS, out=rows)
+            filter_image_separable(self._smoother, rows, Axis.COLS, out=spatial)
+        self._temporal.step(self._spatial, out=self._smoothed)
+        field = solve_flow(self._smoothed, self.cfg, scratch=self._scratch)
+        return field, background_disparity(raw, field, scratch=self._scratch)
 
 
-def solve_flow(products: ProductMaps, cfg: FlowConfig) -> FlowField:
+def solve_flow(
+    j: np.ndarray, cfg: FlowConfig, scratch: np.ndarray | None = None
+) -> FlowField:
     """Per-pixel normal-equation solve [vx; vy] = -inv(J) [Jxz; Jyz];
     pixels with det <= threshold * trace^2 or non-positive trace are
-    invalid and get zero flow (aperture problem, flat texture)."""
-    det = products.jxx * products.jyy - products.jxy**2
-    trace = products.jxx + products.jyy
-    valid = (det > cfg.det_threshold * trace**2) & (trace > 0.0)
-    safe = np.where(valid, det, 1.0)
-    vx = -(products.jyy * products.jxz - products.jxy * products.jyz) / safe
-    vy = -(products.jxx * products.jyz - products.jxy * products.jxz) / safe
-    zero = np.zeros_like(vx)
-    return FlowField(
-        vx=np.where(valid, vx, zero), vy=np.where(valid, vy, zero), valid=valid
-    )
+    invalid and get zero flow (aperture problem, flat texture).
+
+    ``j`` stacks the smoothed products as (5, ...) in the order xx, xy,
+    xz, yy, yz.  ``scratch``, a (3, ...) float array, is overwritten
+    when given; the returned arrays are always new."""
+    j = np.asarray(j, dtype=float)
+    jxx, jxy, jxz, jyy, jyz = j
+    det, trace, t = np.empty((3,) + j.shape[1:]) if scratch is None else scratch
+    np.multiply(jxx, jyy, out=det)
+    det -= np.square(jxy, out=t)
+    np.add(jxx, jyy, out=trace)
+    np.square(trace, out=t)
+    t *= cfg.det_threshold
+    valid = np.greater(det, t)
+    valid &= trace > 0.0
+    invalid = ~valid
+    np.copyto(det, 1.0, where=invalid)
+    vx = np.multiply(jyy, jxz)
+    vx -= np.multiply(jxy, jyz, out=t)
+    vy = np.multiply(jxx, jyz)
+    vy -= np.multiply(jxy, jxz, out=t)
+    for v in (vx, vy):
+        np.negative(v, out=v)
+        v /= det
+        np.copyto(v, 0.0, where=invalid)
+    return FlowField(vx=vx, vy=vy, valid=valid)
 
 
-def background_disparity(products: ProductMaps, flow: FlowField) -> np.ndarray:
+def background_disparity(
+    raw: np.ndarray, flow: FlowField, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Norm of the raw spatiotemporal products unexplained by the
-    estimated flow; zero where the flow is invalid."""
-    pred_xz = -(products.raw_xx * flow.vx + products.raw_xy * flow.vy)
-    pred_yz = -(products.raw_xy * flow.vx + products.raw_yy * flow.vy)
-    dj = np.hypot(products.raw_xz - pred_xz, products.raw_yz - pred_yz)
-    return np.where(flow.valid, dj, 0.0)
+    estimated flow; zero where the flow is invalid.  ``raw`` stacks the
+    unsmoothed products like solve_flow's ``j``; ``scratch``, a (3, ...)
+    float array, is overwritten when given."""
+    raw = np.asarray(raw, dtype=float)
+    rxx, rxy, rxz, ryy, ryz = raw
+    ex, ey, t = np.empty((3,) + raw.shape[1:]) if scratch is None else scratch
+    # e = raw_z - pred_z, pred_xz = -(rxx vx + rxy vy), pred_yz = -(rxy vx + ryy vy)
+    np.multiply(rxx, flow.vx, out=ex)
+    ex += np.multiply(rxy, flow.vy, out=t)
+    np.subtract(rxz, np.negative(ex, out=ex), out=ex)
+    np.multiply(rxy, flow.vx, out=ey)
+    ey += np.multiply(ryy, flow.vy, out=t)
+    np.subtract(ryz, np.negative(ey, out=ey), out=ey)
+    dj = np.hypot(ex, ey)
+    np.copyto(dj, 0.0, where=~flow.valid)
+    return dj
 
 
 def process_sequence(
@@ -252,16 +276,16 @@ def process_sequence(
 ) -> Iterator[FlowResult]:
     """Run the full pipeline over a frame stream, yielding one result
     per aligned frame.  Results with frame_index inside the warm-up
-    span carry warmed_up=False."""
+    span carry warmed_up=False.  Every frame must have the first
+    frame's shape.  Each result owns its arrays."""
     if cfg is None:
         cfg = FlowConfig()
-    smoother = ProductSmoother(cfg)
+    engine: _FlowEngine | None = None
     settle = cfg.warmup_frames - cfg.frame_delay
     for index, frame, iz in temporal_gradient(stream, cfg):
-        ix, iy = spatial_gradients(frame, cfg)
-        products = smoother.step(ix, iy, iz)
-        field = solve_flow(products, cfg)
-        dj = background_disparity(products, field)
+        if engine is None:
+            engine = _FlowEngine(cfg, frame.shape)
+        field, dj = engine.step(frame, iz)
         yield FlowResult(
             frame_index=index, warmed_up=index >= settle, flow=field, disparity=dj
         )

@@ -46,8 +46,9 @@ def _padded(lde: LdeCoefficients) -> tuple[np.ndarray, np.ndarray]:
 
 def steady_state_gain(lde: LdeCoefficients) -> np.ndarray:
     """Delay-line contents at the fixed point under unit constant input
-    (transposed direct-form II convention)."""
-    return scipy.signal.lfilter_zi(lde.b, lde.a)
+    (transposed direct-form II convention).  Computed once per
+    coefficient set; the array is read-only."""
+    return lde.steady_state
 
 
 class FilterState:
@@ -83,43 +84,51 @@ class FrameFilter:
     def __init__(self, coefficients: LdeCoefficients, shape, hold: np.ndarray | None = None):
         self._b, self._a = _padded(coefficients)
         n = len(self._b) - 1
+        shape = tuple(shape)
         if hold is not None:
             zi = steady_state_gain(coefficients)
             self.state = zi.reshape((n,) + (1,) * len(shape)) * np.asarray(hold, float)
         else:
-            self.state = np.zeros((n,) + tuple(shape))
+            self.state = np.zeros((n,) + shape)
+        self._scratch = np.empty(shape)
 
-    def step(self, frame: np.ndarray) -> np.ndarray:
-        b, a, z = self._b, self._a, self.state
+    def step(self, frame: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Advance every pixel by one frame and return the output frame,
+        written into ``out`` when given (``out`` must not be ``frame``)."""
+        b, a, z, t = self._b, self._a, self.state, self._scratch
         x = np.asarray(frame, dtype=float)
+        if x.shape != t.shape:
+            raise ValueError(f"frame shape {x.shape} does not match the filter's {t.shape}")
         n = z.shape[0]
-        y = b[0] * x + z[0]
+        y = np.multiply(x, b[0], out=out)
+        y += z[0]
         for i in range(n - 1):
-            z[i] = z[i + 1] + b[i + 1] * x - a[i + 1] * y
-        z[n - 1] = b[n] * x - a[n] * y
+            np.multiply(x, b[i + 1], out=z[i])
+            z[i] += z[i + 1]
+            z[i] -= np.multiply(y, a[i + 1], out=t)
+        np.multiply(x, b[n], out=z[n - 1])
+        z[n - 1] -= np.multiply(y, a[n], out=t)
         return y
-
-
-def _zi_for(lde: LdeCoefficients, x: np.ndarray, axis: int) -> np.ndarray:
-    zi = steady_state_gain(lde)
-    x0 = np.take(x, 0, axis=axis)
-    shape = [1] * x.ndim
-    shape[axis] = len(zi)
-    return np.expand_dims(x0, axis) * zi.reshape(shape)
 
 
 def _causal_pass(lde: LdeCoefficients, x: np.ndarray, axis: int, priming: Priming) -> np.ndarray:
     if priming is Priming.HOLD_FIRST:
-        y, _ = scipy.signal.lfilter(lde.b, lde.a, x, axis=axis, zi=_zi_for(lde, x, axis))
+        zi = steady_state_gain(lde)
+        if axis == 0:
+            hold = x[:1] * zi.reshape((-1,) + (1,) * (x.ndim - 1))
+        else:
+            hold = x[:, :1] * zi
+        y, _ = scipy.signal.lfilter(lde.b, lde.a, x, axis=axis, zi=hold)
         return y
     return scipy.signal.lfilter(lde.b, lde.a, x, axis=axis)
 
 
-def _noncausal_pass(pair: NonCausalPair, x: np.ndarray, axis: int, priming: Priming) -> np.ndarray:
+def _noncausal_pass(
+    pair: NonCausalPair, x: np.ndarray, axis: int, priming: Priming, out=None
+) -> np.ndarray:
     fwd = _causal_pass(pair.forward, x, axis, priming)
-    rev = np.flip(x, axis=axis)
-    bwd = np.flip(_causal_pass(pair.backward, rev, axis, priming), axis=axis)
-    return fwd + bwd
+    bwd = _causal_pass(pair.backward, np.flip(x, axis=axis), axis, priming)
+    return np.add(fwd, np.flip(bwd, axis=axis), out=fwd if out is None else out)
 
 
 def filter_causal(
@@ -143,17 +152,22 @@ def filter_noncausal(
 
 
 def filter_image_separable(
-    filt, image, axis: Axis, priming: Priming = Priming.HOLD_FIRST
+    filt, image, axis: Axis, priming: Priming = Priming.HOLD_FIRST, out=None
 ) -> np.ndarray:
     """Apply a 1-D filter independently to every row (Axis.ROWS, i.e.
-    along x) or every column (Axis.COLS, along y) of a 2-D image."""
+    along x) or every column (Axis.COLS, along y) of a 2-D image.  The
+    result is written into ``out`` when given."""
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
         raise ValueError("image must be 2-D")
     ax = 1 if axis is Axis.ROWS else 0
     if isinstance(filt, NonCausalPair):
-        return _noncausal_pass(filt, img, ax, priming)
-    return _causal_pass(filt, img, ax, priming)
+        return _noncausal_pass(filt, img, ax, priming, out)
+    y = _causal_pass(filt, img, ax, priming)
+    if out is None:
+        return y
+    np.copyto(out, y)
+    return out
 
 
 def filter_time_stack(

@@ -262,6 +262,26 @@ def test_flow_pgm_directory_input(tmp_path):
                  "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("q", ["-2", "4.5"])
+def test_flow_rejects_temporal_q_off_the_frame_grid(tmp_path, capsys, q):
+    src = tmp_path / "frames.f32"
+    write_float_stack(src, np.full((6, 8, 8), 0.5))
+    out = tmp_path / "run"
+    assert main(["flow", "--frames", str(src), "--out", str(out),
+                 "--temporal-q", q]) == 2
+    assert "temporal_q must be a whole number of frames" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flow_rejects_bad_sidecar(tmp_path, capsys):
+    src = tmp_path / "frames.f32"
+    src.write_bytes(np.zeros(16, dtype="<f4").tobytes())
+    (tmp_path / "frames.f32.json").write_text(
+        json.dumps({"width": -4, "height": -4, "frames": 1}))
+    assert main(["flow", "--frames", str(src), "--out", str(tmp_path / "run")]) == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------- selftest
 
 def test_selftest_reports_all_criteria(capsys):

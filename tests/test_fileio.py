@@ -88,6 +88,22 @@ def test_float_stack_size_mismatch(tmp_path):
         read_float_stack(path)
 
 
+@pytest.mark.parametrize("meta, field", [
+    ({"width": -4, "height": -4, "frames": 1}, "width"),
+    ({"width": 4, "height": 0, "frames": 1}, "height"),
+    ({"width": 4, "height": 4, "frames": -1}, "frames"),
+    ({"width": 4.5, "height": 4, "frames": 1}, "width"),
+    ({"width": "4", "height": 4, "frames": 1}, "width"),
+    ({"width": 4, "frames": 1}, "height"),
+])
+def test_float_stack_sidecar_fields_are_validated(tmp_path, meta, field):
+    path = tmp_path / "bad.f32"
+    path.write_bytes(np.zeros(16, dtype="<f4").tobytes())
+    (tmp_path / "bad.f32.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=f"'{field}' must be a"):
+        read_float_stack(path)
+
+
 def test_signal_csv_round_trip(tmp_path):
     x = np.array([1.0, -0.25, 3.3e-17, 12345.678])
     path = tmp_path / "sig.csv"

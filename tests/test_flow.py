@@ -6,16 +6,15 @@ import pytest
 from fadefilt.design import LdeCoefficients, NonCausalPair
 from fadefilt.flow import (
     FlowConfig,
-    ProductMaps,
     background_disparity,
     process_sequence,
-    smooth_products,
     solve_flow,
     spatial_gradients,
     temporal_gradient,
 )
 from fadefilt.response import group_delay
-from fadefilt.synthetic import translating_plaid
+from fadefilt.runtime import Axis, FrameFilter, filter_image_separable
+from fadefilt.synthetic import add_gaussian_blob, translating_plaid
 
 
 def test_config_defaults():
@@ -40,6 +39,20 @@ def test_config_validation():
         FlowConfig(smoothing_pole=1.0)
     with pytest.raises(ValueError):
         FlowConfig(smoothing_pole=0.0)
+
+
+@pytest.mark.parametrize("q", [-2, -1.0, 4.5, 5.5, 0.25, math.nan, math.inf])
+def test_config_rejects_temporal_q_that_is_not_a_whole_frame_delay(q):
+    # a negative delay mislabels frames; round() would put I_z half a
+    # frame off the spatial gradients
+    with pytest.raises(ValueError, match="temporal_q must be a whole number of frames"):
+        FlowConfig(temporal_q=q)
+
+
+def test_config_accepts_whole_frame_delays():
+    assert FlowConfig(temporal_q=0).frame_delay == 0
+    assert FlowConfig(temporal_q=3).frame_delay == 3
+    assert FlowConfig(temporal_q=6.0).frame_delay == 6
 
 
 def test_config_as_dict_round_trips():
@@ -101,10 +114,7 @@ def test_solve_flow_recovers_hand_built_motion():
     jxy = np.full(shape, 0.3)
     jxz = -(jxx * vx + jxy * vy)
     jyz = -(jxy * vx + jyy * vy)
-    products = ProductMaps(
-        jxx=jxx, jxy=jxy, jxz=jxz, jyy=jyy, jyz=jyz,
-        raw_xx=jxx, raw_xy=jxy, raw_xz=jxz, raw_yy=jyy, raw_yz=jyz,
-    )
+    products = np.stack([jxx, jxy, jxz, jyy, jyz])
     field = solve_flow(products, FlowConfig())
     assert field.valid.all()
     assert np.allclose(field.vx, vx, atol=1e-12)
@@ -116,28 +126,88 @@ def test_solve_flow_recovers_hand_built_motion():
 def test_solve_flow_gates_aperture_pixels():
     shape = (4, 4)
     # rank-one structure: gradients all along x
-    products = ProductMaps(
-        jxx=np.ones(shape), jxy=np.zeros(shape), jxz=np.full(shape, -0.5),
-        jyy=np.zeros(shape), jyz=np.zeros(shape),
-        raw_xx=np.ones(shape), raw_xy=np.zeros(shape), raw_xz=np.full(shape, -0.5),
-        raw_yy=np.zeros(shape), raw_yz=np.zeros(shape),
-    )
+    products = np.stack([
+        np.ones(shape), np.zeros(shape), np.full(shape, -0.5),
+        np.zeros(shape), np.zeros(shape),
+    ])
     field = solve_flow(products, FlowConfig())
     assert not field.valid.any()
     assert np.all(field.vx == 0.0) and np.all(field.vy == 0.0)
 
 
-def test_smooth_products_stream_shapes():
-    cfg = FlowConfig()
-    rng = np.random.default_rng(2)
-    grads = [
-        (rng.random((6, 7)), rng.random((6, 7)), rng.random((6, 7)))
-        for _ in range(3)
-    ]
-    maps = list(smooth_products(iter(grads), cfg))
-    assert len(maps) == 3
-    assert maps[0].jxx.shape == (6, 7)
-    assert maps[2].raw_yz.shape == (6, 7)
+def reference_flow(frames, cfg):
+    """The pipeline written plane by plane from the public stage
+    functions, one FrameFilter per product, and the seed formulas."""
+    differentiator = cfg.spatial_differentiator()
+    smoother = cfg.spatial_smoother()
+    gradient = FrameFilter(cfg.temporal_differentiator(), frames[0].shape, hold=frames[0])
+    temporal = [FrameFilter(cfg.temporal_smoother(), frames[0].shape) for _ in range(5)]
+    settle = cfg.warmup_frames - cfg.frame_delay
+    results = []
+    for n, current in enumerate(frames):
+        iz = gradient.step(current)
+        index = n - cfg.frame_delay
+        if index < 0:
+            continue
+        frame = frames[index]
+        ix = filter_image_separable(differentiator, frame, Axis.ROWS)
+        iy = filter_image_separable(differentiator, frame, Axis.COLS)
+        raw = [ix * ix, ix * iy, ix * iz, iy * iy, iy * iz]
+        jxx, jxy, jxz, jyy, jyz = (
+            f.step(filter_image_separable(
+                smoother, filter_image_separable(smoother, p, Axis.ROWS), Axis.COLS))
+            for f, p in zip(temporal, raw)
+        )
+        det = jxx * jyy - jxy**2
+        trace = jxx + jyy
+        valid = (det > cfg.det_threshold * trace**2) & (trace > 0.0)
+        safe = np.where(valid, det, 1.0)
+        vx = np.where(valid, -(jyy * jxz - jxy * jyz) / safe, 0.0)
+        vy = np.where(valid, -(jxx * jyz - jxy * jxz) / safe, 0.0)
+        rxx, rxy, rxz, ryy, ryz = raw
+        pred_xz = -(rxx * vx + rxy * vy)
+        pred_yz = -(rxy * vx + ryy * vy)
+        dj = np.where(valid, np.hypot(rxz - pred_xz, ryz - pred_yz), 0.0)
+        results.append((index, index >= settle, vx, vy, valid, dj))
+    return results
+
+
+@pytest.mark.parametrize("cfg", [
+    FlowConfig(),
+    FlowConfig(temporal_q=3, temporal_kappa=0, smoothing_pole=0.9),
+], ids=["default", "q3-kappa0-pole0.9"])
+def test_process_sequence_matches_plane_by_plane_reference_bitwise(cfg):
+    plaid = translating_plaid(30, 37, 53, (0.4, -0.3))
+    frames = add_gaussian_blob(plaid, (-0.3, 0.2), (30.0, 16.0), radius=5.0)
+    want = reference_flow(frames, cfg)
+    got = list(process_sequence(frames, cfg))
+    assert len(got) == len(want) == 30 - cfg.frame_delay
+    for r, (index, warmed, vx, vy, valid, dj) in zip(got, want):
+        assert (r.frame_index, r.warmed_up) == (index, warmed)
+        assert np.array_equal(r.flow.vx, vx)
+        assert np.array_equal(r.flow.vy, vy)
+        assert np.array_equal(r.flow.valid, valid)
+        assert np.array_equal(r.disparity, dj)
+    assert want[-1][4].any() and np.any(want[-1][2] != 0.0)
+
+
+def test_kept_results_are_not_overwritten_by_later_frames():
+    frames = translating_plaid(24, 20, 28, (0.3, 0.1))
+    kept, copies = [], []
+    for r in process_sequence(frames):
+        kept.append(r)
+        copies.append([a.copy() for a in (r.flow.vx, r.flow.vy, r.flow.valid, r.disparity)])
+    assert not np.array_equal(copies[0][3], copies[-1][3])
+    for r, copy in zip(kept, copies):
+        for array, snapshot in zip((r.flow.vx, r.flow.vy, r.flow.valid, r.disparity), copy):
+            assert np.array_equal(array, snapshot)
+
+
+def test_mis_shaped_frame_is_rejected_not_broadcast():
+    frames = list(translating_plaid(20, 32, 32, (0.25, 0.0)))
+    frames[7] = frames[7][:1]
+    with pytest.raises(ValueError, match=r"frame 7 has shape \(1, 32\).*\(32, 32\)"):
+        list(process_sequence(frames))
 
 
 def test_process_sequence_on_plaid():
