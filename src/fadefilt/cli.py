@@ -16,6 +16,7 @@ delay (--q auto) requested for a configuration without a closed form;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -32,12 +33,13 @@ from .design import (
     derive_noncausal_pair,
 )
 from .fileio import (
+    FloatStackReader,
+    FloatStackWriter,
+    PgmDirReader,
     coefficients_csv,
     coefficients_json,
     read_coefficients_json,
-    read_float_stack,
     read_pgm,
-    read_pgm_dir,
     read_signal_csv,
     write_float_stack,
     write_pgm,
@@ -256,6 +258,22 @@ def _check_mode(filt, mode: str | None) -> None:
                        "coefficient file")
 
 
+class _FiniteStack(FloatStackReader):
+    """A .f32 input stack whose frames must be finite.  The library does
+    not repair NaN or inf samples (one would spread through the spatial
+    filters and stay in the temporal state), so the first one found is
+    rejected with its frame index and pixel."""
+
+    def __iter__(self):
+        for n, frame in enumerate(super().__iter__()):
+            finite = np.isfinite(frame)
+            if not finite.all():
+                row, col = np.argwhere(~finite)[0]
+                raise CliError(f"{self.path}: frame {n} has a non-finite sample "
+                               f"at (row {row}, col {col})")
+            yield frame
+
+
 def _write_plane(out: Path, plane: np.ndarray) -> None:
     ext = out.suffix.lower()
     if ext == ".pgm":
@@ -291,21 +309,21 @@ def _cmd_filter(args) -> int:
         axis = Axis.ROWS if args.axis == "rows" else Axis.COLS
         _write_plane(out_path, filter_image_separable(filt, image, axis, priming))
     elif ext == ".f32":
-        frames = read_float_stack(in_path)
-        if frames.ndim != 3:
-            raise CliError("frame-stack input must be three-dimensional")
-        if args.axis == "time":
-            if pair:
-                raise CliError("frame streams are causal-only; "
-                               "noncausal pairs cannot run along time")
-            planes = list(filter_time_stack(filt, frames, priming))
-        else:
-            axis = Axis.ROWS if args.axis == "rows" else Axis.COLS
-            planes = [filter_image_separable(filt, f, axis, priming)
-                      for f in frames]
         if out_path.suffix.lower() != ".f32":
             raise CliError("frame-stack input writes a .f32 output")
-        write_float_stack(out_path, np.stack(planes))
+        if args.axis == "time" and pair:
+            raise CliError("frame streams are causal-only; "
+                           "noncausal pairs cannot run along time")
+        frames = _FiniteStack(in_path)
+        if args.axis == "time":
+            planes = filter_time_stack(filt, frames, priming)
+        else:
+            axis = Axis.ROWS if args.axis == "rows" else Axis.COLS
+            planes = (filter_image_separable(filt, f, axis, priming)
+                      for f in frames)
+        with FloatStackWriter(out_path, frames.shape) as out:
+            for plane in planes:
+                out.write(plane)
     else:
         raise CliError(f"unsupported input extension {in_path.suffix!r}; "
                        "expected .csv, .pgm, or .f32")
@@ -320,15 +338,14 @@ _FLOW_OVERRIDES = (
 )
 
 
-def _load_frames(source: str) -> np.ndarray:
+def _open_frames(source: str):
+    """The input frames, read one at a time; len() and shape are known
+    before any pixel is read."""
     path = Path(source)
     if path.is_dir():
-        return np.stack(read_pgm_dir(path))
+        return PgmDirReader(path)
     if path.suffix.lower() == ".f32":
-        frames = read_float_stack(path)
-        if frames.ndim != 3:
-            raise CliError("frame-stack input must be three-dimensional")
-        return frames
+        return _FiniteStack(path)
     raise CliError(f"--frames must name a directory of PGMs or a .f32 stack, "
                    f"got {source!r}")
 
@@ -340,9 +357,10 @@ def _cmd_flow(args) -> int:
         cfg = FlowConfig(**overrides)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    frames = _load_frames(args.frames)
+    frames = _open_frames(args.frames)
 
-    n_frames, height, width = frames.shape
+    n_frames = len(frames)
+    height, width = frames.shape
     if args.strict and n_frames < cfg.warmup_frames:
         raise CliError(
             f"stream of {n_frames} frames is shorter than the warm-up "
@@ -352,26 +370,27 @@ def _cmd_flow(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = list(process_sequence(frames, cfg))
-
-    def stack(planes):
-        return (np.stack(planes) if planes
-                else np.zeros((0, height, width)))
-
-    write_float_stack(out_dir / "vx.f32", stack([r.flow.vx for r in results]))
-    write_float_stack(out_dir / "vy.f32", stack([r.flow.vy for r in results]))
-    write_float_stack(out_dir / "dj.f32", stack([r.disparity for r in results]))
-    for r in results:
-        lo = float(np.min(r.disparity))
-        hi = float(np.max(r.disparity))
-        norm = ((r.disparity - lo) / (hi - lo) if hi > lo
-                else np.zeros_like(r.disparity))
-        write_pgm(out_dir / f"dj_{r.frame_index:04d}.pgm", norm)
+    # each result goes to the writers and its preview and is then
+    # dropped, so memory does not grow with the stream's length
+    with contextlib.ExitStack() as outputs:
+        vx, vy, dj = (
+            outputs.enter_context(FloatStackWriter(out_dir / f"{name}.f32", frames.shape))
+            for name in ("vx", "vy", "dj")
+        )
+        for r in process_sequence(frames, cfg):
+            vx.write(r.flow.vx)
+            vy.write(r.flow.vy)
+            dj.write(r.disparity)
+            lo = float(np.min(r.disparity))
+            hi = float(np.max(r.disparity))
+            norm = ((r.disparity - lo) / (hi - lo) if hi > lo
+                    else np.zeros_like(r.disparity))
+            write_pgm(out_dir / f"dj_{r.frame_index:04d}.pgm", norm)
 
     manifest = {
         "config": cfg.as_dict(),
         "frames_in": int(n_frames),
-        "frames_out": len(results),
+        "frames_out": dj.frames,
         "warmup_frames": int(cfg.warmup_frames),
         "height": int(height),
         "width": int(width),

@@ -5,7 +5,10 @@ Images are normalized to [0, 1] on load (divide by maxval) and
 denormalized on write.  Derivative outputs can be negative, so frame
 data that must survive a round trip is stored as little-endian float32
 raw with a sidecar {width, height, frames}; the sidecar lives next to
-the data file as <name>.json.
+the data file as <name>.json.  Stacks and PGM directories can be read
+one frame at a time (FloatStackReader, PgmDirReader), and a stack can
+be written one frame at a time (FloatStackWriter); a written stack and
+its sidecar appear under their names only once the stack is complete.
 
 Coefficient documents are JSON
     {"b": [...], "a": [...], "T": ..., "design": {...}}
@@ -17,7 +20,9 @@ then a) zero-padded to equal length, four rows for a pair.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -26,12 +31,12 @@ from .design import LdeCoefficients, NonCausalPair
 
 # ---------------------------------------------------------------- PGM
 
-def _next_token(f) -> bytes:
+def _next_token(f, path) -> bytes:
     tok = b""
     while True:
         ch = f.read(1)
         if not ch:
-            raise ValueError("truncated PGM header")
+            raise ValueError(f"{path}: truncated PGM header")
         if ch == b"#":
             while ch not in (b"\n", b""):
                 ch = f.read(1)
@@ -43,16 +48,29 @@ def _next_token(f) -> bytes:
         tok += ch
 
 
+def _pgm_header(f, path) -> tuple[int, int, int]:
+    """Parse a P5 header up to the single whitespace byte before the
+    pixels; returns (width, height, maxval)."""
+    if f.read(2) != b"P5":
+        raise ValueError(f"{path}: not a binary PGM (P5) file")
+    fields = []
+    for field in ("width", "height", "maxval"):
+        token = _next_token(f, path)
+        if not token.isdigit() or int(token) < 1:
+            raise ValueError(
+                f"bad PGM header in {path}: {field!r} must be a positive integer, "
+                f"got {token.decode(errors='replace')!r}"
+            )
+        fields.append(int(token))
+    if fields[2] > 65535:
+        raise ValueError(f"{path}: bad maxval {fields[2]}")
+    return fields[0], fields[1], fields[2]
+
+
 def read_pgm(path) -> np.ndarray:
     """Load a binary (P5) PGM as float64 in [0, 1]."""
     with open(path, "rb") as f:
-        if f.read(2) != b"P5":
-            raise ValueError(f"{path}: not a binary PGM (P5) file")
-        width = int(_next_token(f))
-        height = int(_next_token(f))
-        maxval = int(_next_token(f))
-        if not (0 < maxval < 65536):
-            raise ValueError(f"{path}: bad maxval {maxval}")
+        width, height, maxval = _pgm_header(f, path)
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         raw = f.read(width * height * dtype.itemsize)
     if len(raw) != width * height * dtype.itemsize:
@@ -75,22 +93,124 @@ def write_pgm(path, image, maxval: int = 255) -> None:
         f.write(scaled.astype(dtype).tobytes())
 
 
+class PgmDirReader:
+    """The *.pgm files of a directory as a frame stream in lexicographic
+    order.  len() and shape come from the file list and frame 0's
+    header; iterating loads one frame at a time, and a frame whose shape
+    differs from frame 0's raises ValueError naming its index."""
+
+    def __init__(self, path):
+        self.files = sorted(Path(path).glob("*.pgm"))
+        if not self.files:
+            raise ValueError(f"no PGM frames found in {path}")
+        with open(self.files[0], "rb") as f:
+            width, height, _ = _pgm_header(f, self.files[0])
+        self.shape = (height, width)
+
+    def __len__(self) -> int:
+        return len(self.files)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        for n, path in enumerate(self.files):
+            frame = read_pgm(path)
+            if frame.shape != self.shape:
+                raise ValueError(
+                    f"{path}: frame {n} has shape {frame.shape}, "
+                    f"but frame 0 had {self.shape}"
+                )
+            yield frame
+
+
 def read_pgm_dir(path) -> list[np.ndarray]:
     """Load all *.pgm files in a directory in lexicographic order."""
-    files = sorted(Path(path).glob("*.pgm"))
-    if not files:
-        raise ValueError(f"no PGM frames found in {path}")
-    frames = [read_pgm(p) for p in files]
-    shapes = {f.shape for f in frames}
-    if len(shapes) != 1:
-        raise ValueError("frame dimensions are not uniform")
-    return frames
+    return list(PgmDirReader(path))
 
 
 # ------------------------------------------------- raw float32 stacks
 
 def _sidecar(path) -> Path:
     return Path(str(path) + ".json")
+
+
+class FloatStackReader:
+    """A float32 stack read one frame at a time.  len() and shape come
+    from the sidecar, which must give positive integer width and height
+    and a non-negative integer frame count (flow writes empty stacks for
+    streams shorter than its delay); the data file must hold exactly
+    that many samples.  Iterating yields (H, W) float64 frames without
+    holding more than one."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        meta = json.loads(_sidecar(path).read_text())
+        if not isinstance(meta, dict):
+            raise ValueError(f"bad sidecar for {path}: expected a JSON object")
+        dims = []
+        for field, least in (("width", 1), ("height", 1), ("frames", 0)):
+            value = meta.get(field)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                kind = "positive" if least else "non-negative"
+                raise ValueError(
+                    f"bad sidecar for {path}: {field!r} must be a {kind} integer, got {value!r}"
+                )
+            dims.append(value)
+        w, h, nf = dims
+        size = self.path.stat().st_size
+        if size != 4 * nf * h * w:
+            raise ValueError(
+                f"{path}: size does not match sidecar ({size} bytes for "
+                f"{nf}x{h}x{w} float32 samples)"
+            )
+        self.frames = nf
+        self.shape = (h, w)
+
+    def __len__(self) -> int:
+        return self.frames
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        count = self.shape[0] * self.shape[1]
+        with open(self.path, "rb") as f:
+            for _ in range(self.frames):
+                frame = np.fromfile(f, dtype="<f4", count=count)
+                yield frame.reshape(self.shape).astype(float)
+
+
+class FloatStackWriter:
+    """Context manager that appends (H, W) frames to a float32 stack.
+    Data and sidecar are written under temporary names and renamed into
+    place when the block completes, so the stack appears only once it is
+    whole; if the block raises, the temporary files are removed."""
+
+    def __init__(self, path, shape):
+        self.path = Path(path)
+        self.shape = tuple(shape)
+        self.frames = 0
+        self._partial = self.path.with_name(self.path.name + ".partial")
+
+    def __enter__(self) -> "FloatStackWriter":
+        self._file = open(self._partial, "wb")
+        return self
+
+    def write(self, frame) -> None:
+        data = np.asarray(frame, dtype=float)
+        if data.shape != self.shape:
+            raise ValueError(
+                f"{self.path}: frame shape {data.shape} does not match the stack's {self.shape}"
+            )
+        self._file.write(data.astype("<f4").tobytes())
+        self.frames += 1
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._file.close()
+        if exc_type is not None:
+            self._partial.unlink(missing_ok=True)
+            return
+        h, w = self.shape
+        meta = {"width": w, "height": h, "frames": self.frames}
+        sidecar = _sidecar(self._partial)
+        sidecar.write_text(json.dumps(meta, sort_keys=True) + "\n")
+        os.replace(self._partial, self.path)
+        os.replace(sidecar, _sidecar(self.path))
 
 
 def write_float_stack(path, frames) -> None:
@@ -100,39 +220,16 @@ def write_float_stack(path, frames) -> None:
         data = data[None]
     if data.ndim != 3:
         raise ValueError("expected (frames, height, width) or a single 2-D frame")
-    nf, h, w = data.shape
-    with open(path, "wb") as f:
-        f.write(data.astype("<f4").tobytes())
-    meta = {"width": w, "height": h, "frames": nf}
-    _sidecar(path).write_text(json.dumps(meta, sort_keys=True) + "\n")
+    with FloatStackWriter(path, data.shape[1:]) as out:
+        for frame in data:
+            out.write(frame)
 
 
 def read_float_stack(path) -> np.ndarray:
-    """Load a float32 raw stack via its sidecar; returns (F, H, W) float64.
-    The sidecar must give positive integer width and height and a
-    non-negative integer frame count (flow writes empty stacks for
-    streams shorter than its delay), and the data file must hold
-    exactly that many samples."""
-    meta = json.loads(_sidecar(path).read_text())
-    if not isinstance(meta, dict):
-        raise ValueError(f"bad sidecar for {path}: expected a JSON object")
-    dims = []
-    for field, least in (("width", 1), ("height", 1), ("frames", 0)):
-        value = meta.get(field)
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            kind = "positive" if least else "non-negative"
-            raise ValueError(
-                f"bad sidecar for {path}: {field!r} must be a {kind} integer, got {value!r}"
-            )
-        dims.append(value)
-    w, h, nf = dims
-    size = Path(path).stat().st_size
-    if size != 4 * nf * h * w:
-        raise ValueError(
-            f"{path}: size does not match sidecar ({size} bytes for "
-            f"{nf}x{h}x{w} float32 samples)"
-        )
-    return np.fromfile(path, dtype="<f4").reshape(nf, h, w).astype(float)
+    """Load a whole float32 raw stack, validated as by FloatStackReader;
+    returns (F, H, W) float64."""
+    stack = FloatStackReader(path)
+    return np.fromfile(path, dtype="<f4").reshape((len(stack),) + stack.shape).astype(float)
 
 
 # --------------------------------------------------------- signal CSV

@@ -277,7 +277,12 @@ def process_sequence(
     """Run the full pipeline over a frame stream, yielding one result
     per aligned frame.  Results with frame_index inside the warm-up
     span carry warmed_up=False.  Every frame must have the first
-    frame's shape.  Each result owns its arrays."""
+    frame's shape.  Each result owns its arrays.
+
+    Non-finite input is not repaired: one NaN or inf sample spreads
+    along its row and column through the spatial filters and stays in
+    the temporal state, so every later result is invalid.  Callers that
+    read untrusted frames should reject them first, as the CLI does."""
     if cfg is None:
         cfg = FlowConfig()
     engine: _FlowEngine | None = None

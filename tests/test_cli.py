@@ -6,23 +6,29 @@ codes, emitted files, and stream output.
 
 from __future__ import annotations
 
+import gc
 import json
+import re
+import weakref
 
 import numpy as np
 import pytest
 
+import fadefilt.cli
 from fadefilt.cli import main
 from fadefilt.design import LdeCoefficients
 from fadefilt.fileio import (
     read_coefficients_json,
     read_float_stack,
     read_pgm,
+    read_pgm_dir,
     read_signal_csv,
     write_float_stack,
     write_pgm,
     write_signal_csv,
 )
-from fadefilt.flow import FlowConfig
+from fadefilt.flow import FlowConfig, process_sequence
+from fadefilt.runtime import Axis, Priming, filter_image_separable, filter_time_stack
 from fadefilt.synthetic import translating_plaid
 
 BINOMIAL_HALF = [1.0, -1.5, 0.75, -0.125]
@@ -187,6 +193,26 @@ def test_filter_f32_time_stack(tmp_path):
                  "--out", str(tmp_path / "out.csv")]) == 2
 
 
+@pytest.mark.parametrize("axis", ["time", "rows"])
+def test_filter_f32_stack_bytes(tmp_path, axis):
+    coeff = design_file(tmp_path)
+    src = tmp_path / "in.f32"
+    dst = tmp_path / "out.f32"
+    write_float_stack(src, np.random.default_rng(3).standard_normal((7, 5, 6)))
+    assert main(["filter", "--coeff", str(coeff), "--input", str(src),
+                 "--out", str(dst), "--axis", axis]) == 0
+    filt, _ = read_coefficients_json(coeff)
+    frames = read_float_stack(src)
+    if axis == "time":
+        planes = list(filter_time_stack(filt, frames, Priming.HOLD_FIRST))
+    else:
+        planes = [filter_image_separable(filt, f, Axis.ROWS, Priming.HOLD_FIRST)
+                  for f in frames]
+    assert dst.read_bytes() == np.stack(planes).astype("<f4").tobytes()
+    assert json.loads((tmp_path / "out.f32.json").read_text()) == {
+        "frames": 7, "height": 5, "width": 6}
+
+
 def test_filter_mode_checks(tmp_path):
     causal = design_file(tmp_path, "c.json")
     pair = tmp_path / "p.json"
@@ -280,6 +306,92 @@ def test_flow_rejects_bad_sidecar(tmp_path, capsys):
         json.dumps({"width": -4, "height": -4, "frames": 1}))
     assert main(["flow", "--frames", str(src), "--out", str(tmp_path / "run")]) == 2
     assert "must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["f32", "pgm"])
+def test_flow_outputs_match_library_bytes(tmp_path, kind):
+    frames = translating_plaid(16, 20, 24, velocity=(0.5, -0.25))
+    if kind == "f32":
+        src = tmp_path / "frames.f32"
+        write_float_stack(src, frames)
+        library_input = read_float_stack(src)
+    else:
+        src = tmp_path / "frames"
+        src.mkdir()
+        for n, frame in enumerate(frames):
+            write_pgm(src / f"frame_{n:03d}.pgm", frame)
+        library_input = read_pgm_dir(src)
+    out = tmp_path / "run"
+    assert main(["flow", "--frames", str(src), "--out", str(out)]) == 0
+    results = list(process_sequence(library_input))
+    assert len(results) == 12
+    for name, planes in (("vx", [r.flow.vx for r in results]),
+                         ("vy", [r.flow.vy for r in results]),
+                         ("dj", [r.disparity for r in results])):
+        assert (out / f"{name}.f32").read_bytes() == np.stack(planes).astype("<f4").tobytes()
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".partial")]
+
+
+def test_flow_holds_at_most_one_result(tmp_path, monkeypatch):
+    src = tmp_path / "frames.f32"
+    write_float_stack(src, translating_plaid(24, 16, 16, velocity=(0.5, 0.0)))
+    original = fadefilt.cli.process_sequence
+    alive = []
+
+    def tracking(*args, **kwargs):
+        refs = []
+        for result in original(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(result))
+            yield result
+
+    monkeypatch.setattr(fadefilt.cli, "process_sequence", tracking)
+    assert main(["flow", "--frames", str(src), "--out", str(tmp_path / "run")]) == 0
+    assert len(alive) == 20
+    assert max(alive) <= 1
+
+
+def _plaid_with(tmp_path, frame, row, col, value):
+    frames = translating_plaid(30, 32, 32, velocity=(0.5, 0.0))
+    frames[frame, row, col] = value
+    src = tmp_path / "frames.f32"
+    write_float_stack(src, frames)
+    return src
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_input_is_rejected(tmp_path, capsys, value):
+    src = _plaid_with(tmp_path, 3, 5, 7, value)
+    assert main(["flow", "--frames", str(src), "--out", str(tmp_path / "run")]) == 2
+    assert "frame 3 has a non-finite sample at (row 5, col 7)" in capsys.readouterr().err
+    coeff = design_file(tmp_path)
+    dst = tmp_path / "out.f32"
+    assert main(["filter", "--coeff", str(coeff), "--input", str(src),
+                 "--out", str(dst), "--axis", "rows"]) == 2
+    assert "frame 3 has a non-finite sample at (row 5, col 7)" in capsys.readouterr().err
+    assert not dst.exists() and not (tmp_path / "out.f32.partial").exists()
+
+
+def _pgm_dir_with_odd_frame_2(tmp_path):
+    src = tmp_path / "frames"
+    src.mkdir()
+    for n in range(6):
+        write_pgm(src / f"frame_{n:02d}.pgm", np.full((10 if n == 2 else 8, 8), 0.5))
+    return src
+
+
+@pytest.mark.parametrize("bad_input, message", [
+    (lambda tmp: _plaid_with(tmp, 12, 1, 2, np.nan), "frame 12 has a non-finite sample"),
+    (_pgm_dir_with_odd_frame_2, "frame 2 has shape"),
+], ids=["non-finite-frame", "pgm-frame-size"])
+def test_failed_flow_leaves_no_stacks(tmp_path, capsys, bad_input, message):
+    out = tmp_path / "run"
+    assert main(["flow", "--frames", str(bad_input(tmp_path)), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    # previews of frames already processed stay; no stack, sidecar,
+    # temporary file or manifest does
+    assert all(re.fullmatch(r"dj_\d{4}\.pgm", p.name) for p in out.iterdir())
 
 
 # -------------------------------------------------------------- selftest

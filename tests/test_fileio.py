@@ -7,6 +7,9 @@ import pytest
 from fadefilt.closed_form import ClosedForm, closed_form_coefficients
 from fadefilt.design import LdeCoefficients, NonCausalPair
 from fadefilt.fileio import (
+    FloatStackReader,
+    FloatStackWriter,
+    PgmDirReader,
     coefficients_csv,
     coefficients_doc,
     coefficients_from_doc,
@@ -57,6 +60,23 @@ def test_pgm_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
     with pytest.raises(ValueError):
         read_pgm(path)
+    path.write_bytes(b"P5\n2 2")
+    with pytest.raises(ValueError, match="d.pgm: truncated PGM header"):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("header, field", [
+    (b"P5\n0 5\n255\n", "width"),
+    (b"P5\n-4 -4\n255\n", "width"),
+    (b"P5\n5 0\n255\n", "height"),
+    (b"P5\n5 5\n0\n", "maxval"),
+    (b"P5\n5 five\n255\n", "height"),
+])
+def test_pgm_header_fields_are_validated(tmp_path, header, field):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header + bytes(25))
+    with pytest.raises(ValueError, match=f"bad.pgm: '{field}' must be a positive integer"):
+        read_pgm(path)
 
 
 def test_float_stack_round_trip(tmp_path):
@@ -65,6 +85,7 @@ def test_float_stack_round_trip(tmp_path):
     write_float_stack(path, frames)
     sidecar = json.loads((tmp_path / "stack.f32.json").read_text())
     assert sidecar == {"frames": 4, "height": 5, "width": 6}
+    assert path.read_bytes() == frames.astype("<f4").tobytes()
     back = read_float_stack(path)
     assert back.shape == (4, 5, 6)
     assert np.allclose(back, frames, atol=1e-6)
@@ -86,6 +107,49 @@ def test_float_stack_size_mismatch(tmp_path):
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(ValueError):
         read_float_stack(path)
+    with pytest.raises(ValueError):
+        FloatStackReader(path)
+
+
+def test_float_stack_reader_streams_frames(tmp_path):
+    frames = np.random.default_rng(1).standard_normal((5, 3, 4))
+    path = tmp_path / "stack.f32"
+    write_float_stack(path, frames)
+    reader = FloatStackReader(path)
+    assert len(reader) == 5 and reader.shape == (3, 4)
+    streamed = list(reader)
+    assert all(f.dtype == np.float64 and f.shape == (3, 4) for f in streamed)
+    assert np.array_equal(np.stack(streamed), read_float_stack(path))
+
+
+def test_float_stack_writer_appears_only_when_closed(tmp_path):
+    path = tmp_path / "out.f32"
+    frames = np.random.default_rng(2).standard_normal((3, 2, 5))
+    with FloatStackWriter(path, (2, 5)) as out:
+        for frame in frames:
+            out.write(frame)
+        assert not path.exists() and not (tmp_path / "out.f32.json").exists()
+        with pytest.raises(ValueError, match="does not match"):
+            out.write(np.zeros((5, 2)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.f32", "out.f32.json"]
+    assert path.read_bytes() == frames.astype("<f4").tobytes()
+    assert read_float_stack(path).shape == (3, 2, 5)
+
+
+def test_float_stack_writer_aborts_on_error(tmp_path):
+    with pytest.raises(RuntimeError):
+        with FloatStackWriter(tmp_path / "out.f32", (2, 2)) as out:
+            out.write(np.zeros((2, 2)))
+            raise RuntimeError("stream failed")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_float_stack_writer_empty_stack(tmp_path):
+    path = tmp_path / "empty.f32"
+    with FloatStackWriter(path, (4, 3)):
+        pass
+    assert path.read_bytes() == b""
+    assert read_float_stack(path).shape == (0, 4, 3)
 
 
 @pytest.mark.parametrize("meta, field", [
@@ -100,8 +164,9 @@ def test_float_stack_sidecar_fields_are_validated(tmp_path, meta, field):
     path = tmp_path / "bad.f32"
     path.write_bytes(np.zeros(16, dtype="<f4").tobytes())
     (tmp_path / "bad.f32.json").write_text(json.dumps(meta))
-    with pytest.raises(ValueError, match=f"'{field}' must be a"):
-        read_float_stack(path)
+    for reader in (read_float_stack, FloatStackReader):
+        with pytest.raises(ValueError, match=f"'{field}' must be a"):
+            reader(path)
 
 
 def test_signal_csv_round_trip(tmp_path):
@@ -174,5 +239,15 @@ def test_read_pgm_dir_sorted_and_uniform(tmp_path):
     assert len(frames) == 2
     assert frames[0].max() == 0.0 and frames[1].min() == 1.0
     write_pgm(tmp_path / "f_0002.pgm", np.zeros((3, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="frame 2 has shape"):
         read_pgm_dir(tmp_path)
+
+
+def test_pgm_dir_reader_counts_without_loading(tmp_path):
+    for n in range(3):
+        write_pgm(tmp_path / f"f_{n}.pgm", np.full((4, 6), n / 2.0))
+    reader = PgmDirReader(tmp_path)
+    assert len(reader) == 3 and reader.shape == (4, 6)
+    assert [f[0, 0] for f in reader] == [0.0, 128 / 255, 1.0]
+    with pytest.raises(ValueError, match="no PGM frames"):
+        PgmDirReader(tmp_path / "absent")
