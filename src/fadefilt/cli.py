@@ -372,20 +372,28 @@ def _cmd_flow(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     # each result goes to the writers and its preview and is then
     # dropped, so memory does not grow with the stream's length
-    with contextlib.ExitStack() as outputs:
-        vx, vy, dj = (
-            outputs.enter_context(FloatStackWriter(out_dir / f"{name}.f32", frames.shape))
-            for name in ("vx", "vy", "dj")
-        )
-        for r in process_sequence(frames, cfg):
-            vx.write(r.flow.vx)
-            vy.write(r.flow.vy)
-            dj.write(r.disparity)
-            lo = float(np.min(r.disparity))
-            hi = float(np.max(r.disparity))
-            norm = ((r.disparity - lo) / (hi - lo) if hi > lo
-                    else np.zeros_like(r.disparity))
-            write_pgm(out_dir / f"dj_{r.frame_index:04d}.pgm", norm)
+    previews = []
+    try:
+        with contextlib.ExitStack() as outputs:
+            vx, vy, dj = (
+                outputs.enter_context(FloatStackWriter(out_dir / f"{name}.f32", frames.shape))
+                for name in ("vx", "vy", "dj")
+            )
+            for r in process_sequence(frames, cfg):
+                vx.write(r.flow.vx)
+                vy.write(r.flow.vy)
+                dj.write(r.disparity)
+                lo = float(np.min(r.disparity))
+                hi = float(np.max(r.disparity))
+                norm = ((r.disparity - lo) / (hi - lo) if hi > lo
+                        else np.zeros_like(r.disparity))
+                previews.append(out_dir / f"dj_{r.frame_index:04d}.pgm")
+                write_pgm(previews[-1], norm)
+    except BaseException:
+        # like the stacks, a failed run's previews do not outlive it
+        for path in previews:
+            path.unlink(missing_ok=True)
+        raise
 
     manifest = {
         "config": cfg.as_dict(),

@@ -35,12 +35,11 @@ class ResponseSample:
     group_delay: float
 
 
-def _poly_on_circle(coef: np.ndarray, omega: np.ndarray, derivative: bool = False):
+def _poly_on_circle(coef: np.ndarray, omega: np.ndarray):
+    """Return (P(e^{jw}), P'(w)) from one phase matrix."""
     m = np.arange(len(coef))
     phase = np.exp(-1j * np.outer(omega, m))
-    if derivative:
-        return phase @ (-1j * m * coef)
-    return phase @ coef
+    return phase @ coef, phase @ (-1j * m * coef)
 
 
 def _response_parts(filt, omega: np.ndarray):
@@ -49,10 +48,8 @@ def _response_parts(filt, omega: np.ndarray):
         hf, df = _response_parts(filt.forward, omega)
         hb, db = _response_parts(filt.backward, -omega)
         return hf + hb, df - db
-    num = _poly_on_circle(filt.b, omega)
-    den = _poly_on_circle(filt.a, omega)
-    dnum = _poly_on_circle(filt.b, omega, derivative=True)
-    dden = _poly_on_circle(filt.a, omega, derivative=True)
+    num, dnum = _poly_on_circle(filt.b, omega)
+    den, dden = _poly_on_circle(filt.a, omega)
     h = num / den
     dh = (dnum * den - num * dden) / (den * den)
     return h, dh
@@ -64,11 +61,8 @@ def frequency_response(filt, omega) -> np.ndarray:
     return _response_parts(filt, omega)[0]
 
 
-def group_delay(filt, omega) -> np.ndarray:
-    """Analytic -d(arg H)/dw in samples, with one-sided evaluation
-    wherever |H| < 1e-12."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    h, dh = _response_parts(filt, omega)
+def _group_delay(filt, omega: np.ndarray, h: np.ndarray, dh: np.ndarray) -> np.ndarray:
+    """Group delay from (H, dH/domega) already evaluated on the grid."""
     gd = -np.imag(dh / np.where(np.abs(h) < _RESPONSE_EPS, 1.0, h))
     bad = np.abs(h) < _RESPONSE_EPS
     if np.any(bad):
@@ -78,6 +72,13 @@ def group_delay(filt, omega) -> np.ndarray:
     return gd
 
 
+def group_delay(filt, omega) -> np.ndarray:
+    """Analytic -d(arg H)/dw in samples, with one-sided evaluation
+    wherever |H| < 1e-12."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    return _group_delay(filt, omega, *_response_parts(filt, omega))
+
+
 def evaluate_response(filt, omega_grid) -> list[ResponseSample]:
     """Sample the response on a grid in [0, pi].  Phase is unwrapped by
     nearest-branch continuation along the grid; magnitudes below the
@@ -85,13 +86,13 @@ def evaluate_response(filt, omega_grid) -> list[ResponseSample]:
     omega = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     if omega.size and (omega.min() < 0.0 or omega.max() > math.pi + 1e-12):
         raise ValueError("omega grid must lie within [0, pi]")
-    h, _ = _response_parts(filt, omega)
+    h, dh = _response_parts(filt, omega)
     mag = np.abs(h)
     with np.errstate(divide="ignore"):
         mdb = np.maximum(20.0 * np.log10(np.where(mag > 0, mag, np.nan)), DB_FLOOR)
     mdb = np.where(np.isnan(mdb), DB_FLOOR, mdb)
     phase = np.unwrap(np.angle(h))
-    gd = group_delay(filt, omega)
+    gd = _group_delay(filt, omega, h, dh)
     return [
         ResponseSample(float(w), complex(hv), float(db), float(ph), float(g))
         for w, hv, db, ph, g in zip(omega, h, mdb, phase, gd)

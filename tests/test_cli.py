@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import gc
 import json
-import re
 import weakref
 
 import numpy as np
@@ -387,11 +386,13 @@ def _pgm_dir_with_odd_frame_2(tmp_path):
 ], ids=["non-finite-frame", "pgm-frame-size"])
 def test_failed_flow_leaves_no_stacks(tmp_path, capsys, bad_input, message):
     out = tmp_path / "run"
+    out.mkdir()
+    (out / "dj_9999.pgm").write_text("from an earlier run")
     assert main(["flow", "--frames", str(bad_input(tmp_path)), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
-    # previews of frames already processed stay; no stack, sidecar,
-    # temporary file or manifest does
-    assert all(re.fullmatch(r"dj_\d{4}\.pgm", p.name) for p in out.iterdir())
+    # no preview, stack, sidecar, temporary file or manifest of the
+    # failed run stays, and files it did not write are left alone
+    assert [p.name for p in out.iterdir()] == ["dj_9999.pgm"]
 
 
 # -------------------------------------------------------------- selftest

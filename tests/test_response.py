@@ -92,6 +92,21 @@ def test_evaluate_response_fields():
     assert floored.magnitude_db == DB_FLOOR
 
 
+@pytest.mark.parametrize("filt", [
+    smoother(1.0),
+    derive_noncausal_pair(FilterDesign(2, 1, WeightSpec(-1.0, causality=Causality.TWO_SIDED))),
+    closed_form_coefficients(ClosedForm.DIFFERENTIATOR_K0, P_REF, 3.0),
+], ids=["causal", "two-sided", "differentiator"])
+def test_evaluate_response_matches_the_public_functions_bitwise(filt):
+    # omega = 0 is on the grid: a zero of both differentiators' response
+    omega = np.linspace(0.0, math.pi, 65)
+    samples = evaluate_response(filt, omega)
+    value = np.array([s.value for s in samples])
+    delay = np.array([s.group_delay for s in samples])
+    assert np.array_equal(value, frequency_response(filt, omega))
+    assert np.array_equal(delay, group_delay(filt, omega))
+
+
 def test_evaluate_response_rejects_out_of_range_grid():
     with pytest.raises(ValueError):
         evaluate_response(smoother(), np.array([-0.1, 0.5]))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fadefilt.closed_form import ClosedForm, closed_form_coefficients
-from fadefilt.design import FilterDesign, derive_noncausal_pair
+from fadefilt.design import FilterDesign, derive_causal_lde, derive_noncausal_pair
 from fadefilt.runtime import (
     Axis,
     FilterState,
@@ -25,12 +25,62 @@ DIFF = closed_form_coefficients(ClosedForm.DIFFERENTIATOR_K1, math.exp(-0.5), 2.
 PAIR = closed_form_coefficients(ClosedForm.SMOOTHER_NONCAUSAL, math.exp(-1.0))
 
 
-def test_scalar_path_is_bitwise_identical_to_array_path():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(128)
-    state = FilterState(SMOOTHER)
+def _derived(degree, kappa):
+    # order degree + kappa + 1, so B 0-6 and kappa 0-2 span orders 1-9
+    weight = WeightSpec(math.log(0.6), kappa)
+    return derive_causal_lde(FilterDesign(degree, degree % 3, weight, 1.5))
+
+
+DERIVED = pytest.mark.parametrize(
+    "degree, kappa",
+    [(b, k) for b in range(7) for k in range(3)],
+    ids=[f"B{b}-kappa{k}" for b in range(7) for k in range(3)],
+)
+
+# the same samples as Python floats, numpy float64 scalars and ints
+INPUTS = {
+    "float": lambda x: [float(v) for v in x],
+    "float64": lambda x: list(x),
+    "int": lambda x: [int(v) for v in np.round(10.0 * x)],
+}
+
+
+@DERIVED
+@pytest.mark.parametrize("kind", sorted(INPUTS))
+def test_scalar_path_is_bitwise_identical_to_array_path(degree, kappa, kind):
+    lde = _derived(degree, kappa)
+    assert len(lde.a) - 1 == degree + kappa + 1
+    x = INPUTS[kind](np.random.default_rng(3).standard_normal(128))
+    state = FilterState(lde)
     scalar = np.array([state.step(v) for v in x])
-    assert np.array_equal(scalar, filter_causal(SMOOTHER, x, Priming.ZERO))
+    assert np.array_equal(scalar, filter_causal(lde, x, Priming.ZERO))
+
+
+@DERIVED
+def test_primed_scalar_path_is_bitwise_identical_to_hold_first(degree, kappa):
+    lde = _derived(degree, kappa)
+    x = np.random.default_rng(5).standard_normal(96) + 2.0
+    state = FilterState(lde)
+    state.prime_constant(x[0])
+    scalar = np.array([state.step(v) for v in x])
+    assert np.array_equal(scalar, filter_causal(lde, x, Priming.HOLD_FIRST))
+
+
+def test_delay_line_reads_as_float_array():
+    state = FilterState(DIFF)
+    assert state.delay_line.dtype == np.float64
+    assert np.array_equal(state.delay_line, np.zeros(len(DIFF.a) - 1))
+    state.prime_constant(0.25)
+    assert np.array_equal(state.delay_line, steady_state_gain(DIFF) * 0.25)
+    state.reset()
+    assert not state.delay_line.any()
+
+
+@pytest.mark.parametrize("priming", list(Priming))
+def test_scalar_stream_through_time_stack_is_bitwise_identical(priming):
+    x = np.random.default_rng(6).standard_normal(64)
+    got = np.array(list(filter_time_stack(DIFF, x.tolist(), priming)))
+    assert np.array_equal(got, filter_causal(DIFF, x, priming))
 
 
 def test_frame_path_is_bitwise_identical_to_scalar_path():
