@@ -28,7 +28,7 @@ from .closed_form import (
     optimal_q,
 )
 from .response import (
-    ResponseSample,
+    ResponseTable,
     evaluate_response,
     flatness_report,
     frequency_response,
@@ -83,7 +83,7 @@ __all__ = [
     "LdeCoefficients",
     "NonCausalPair",
     "Priming",
-    "ResponseSample",
+    "ResponseTable",
     "SpectrumFilterBank",
     "WeightSpec",
     "add_gaussian_blob",

@@ -238,12 +238,12 @@ def _cmd_response(args) -> int:
     if args.points < 2:
         raise CliError("--points must be at least 2")
     grid = np.linspace(0.0, math.pi, args.points)
-    samples = evaluate_response(filt, grid)
+    table = evaluate_response(filt, grid)
     flat = flatness_report(filt) if args.report_flatness else None
     if args.out is None or args.out == "-":
-        write_response_csv(samples, sys.stdout, flat)
+        write_response_csv(table, sys.stdout, flat)
     else:
-        write_response_csv(samples, args.out, flat)
+        write_response_csv(table, args.out, flat)
     return EXIT_OK
 
 

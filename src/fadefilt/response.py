@@ -9,13 +9,19 @@ vanishes (a differentiator at w = 0, or an optimally placed Nyquist
 zero) the formula degenerates, and the sample is re-evaluated a
 one-sided 1e-6 off the zero, where the limit is finite because the
 singular part of H'/H at a simple zero is purely real.
+
+`evaluate_response` returns a `ResponseTable`: one read-only array per
+column (omega, complex value, magnitude in dB, unwrapped phase, group
+delay), computed from one phase matrix per coefficient length.
+`flatness_report` probes |H|^2 with central-difference stencils around
+w = 0 and evaluates each distinct |w| of the stencils once.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.signal
@@ -26,20 +32,41 @@ DB_FLOOR = -300.0
 _RESPONSE_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class ResponseSample:
-    omega: float
-    value: complex
-    magnitude_db: float
-    phase: float
-    group_delay: float
+@dataclass(frozen=True, eq=False)
+class ResponseTable:
+    """The response on a frequency grid, one read-only array per column."""
+
+    omega: np.ndarray
+    value: np.ndarray
+    magnitude_db: np.ndarray
+    phase: np.ndarray
+    group_delay: np.ndarray
 
 
-def _poly_on_circle(coef: np.ndarray, omega: np.ndarray):
-    """Return (P(e^{jw}), P'(w)) from one phase matrix."""
-    m = np.arange(len(coef))
-    phase = np.exp(-1j * np.outer(omega, m))
-    return phase @ coef, phase @ (-1j * m * coef)
+def _phase_matrix(n: int, omega: np.ndarray) -> np.ndarray:
+    """e^{-jwm} for m = 0..n-1, one row per frequency."""
+    return np.exp(-1j * np.outer(omega, np.arange(n)))
+
+
+def _lde_phases(lde: LdeCoefficients, omega: np.ndarray):
+    """Phase matrices for (b, a); one matrix serves both when their
+    lengths agree."""
+    pa = _phase_matrix(len(lde.a), omega)
+    pb = pa if len(lde.b) == len(lde.a) else _phase_matrix(len(lde.b), omega)
+    return pb, pa
+
+
+def _poly_on_circle(coef: np.ndarray, phase: np.ndarray):
+    """Return (P(e^{jw}), P'(w)) from the coefficient's phase matrix."""
+    return phase @ coef, phase @ (-1j * np.arange(len(coef)) * coef)
+
+
+def _response(filt, omega: np.ndarray) -> np.ndarray:
+    """H on the grid for an LDE or a pair."""
+    if isinstance(filt, NonCausalPair):
+        return _response(filt.forward, omega) + _response(filt.backward, -omega)
+    pb, pa = _lde_phases(filt, omega)
+    return (pb @ filt.b) / (pa @ filt.a)
 
 
 def _response_parts(filt, omega: np.ndarray):
@@ -48,8 +75,9 @@ def _response_parts(filt, omega: np.ndarray):
         hf, df = _response_parts(filt.forward, omega)
         hb, db = _response_parts(filt.backward, -omega)
         return hf + hb, df - db
-    num, dnum = _poly_on_circle(filt.b, omega)
-    den, dden = _poly_on_circle(filt.a, omega)
+    pb, pa = _lde_phases(filt, omega)
+    num, dnum = _poly_on_circle(filt.b, pb)
+    den, dden = _poly_on_circle(filt.a, pa)
     h = num / den
     dh = (dnum * den - num * dden) / (den * den)
     return h, dh
@@ -57,8 +85,7 @@ def _response_parts(filt, omega: np.ndarray):
 
 def frequency_response(filt, omega) -> np.ndarray:
     """Complex H(e^{jw}); for pairs, forward(w) + backward(-w)."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    return _response_parts(filt, omega)[0]
+    return _response(filt, np.atleast_1d(np.asarray(omega, dtype=float)))
 
 
 def _group_delay(filt, omega: np.ndarray, h: np.ndarray, dh: np.ndarray) -> np.ndarray:
@@ -79,11 +106,13 @@ def group_delay(filt, omega) -> np.ndarray:
     return _group_delay(filt, omega, *_response_parts(filt, omega))
 
 
-def evaluate_response(filt, omega_grid) -> list[ResponseSample]:
-    """Sample the response on a grid in [0, pi].  Phase is unwrapped by
-    nearest-branch continuation along the grid; magnitudes below the
-    -300 dB floor are clamped there."""
-    omega = np.atleast_1d(np.asarray(omega_grid, dtype=float))
+def evaluate_response(filt, omega_grid) -> ResponseTable:
+    """Sample the response on a finite grid in [0, pi].  Phase is
+    unwrapped by nearest-branch continuation along the grid; magnitudes
+    below the -300 dB floor are clamped there."""
+    omega = np.array(omega_grid, dtype=float, ndmin=1)
+    if not np.all(np.isfinite(omega)):
+        raise ValueError("omega grid must be finite")
     if omega.size and (omega.min() < 0.0 or omega.max() > math.pi + 1e-12):
         raise ValueError("omega grid must lie within [0, pi]")
     h, dh = _response_parts(filt, omega)
@@ -91,22 +120,22 @@ def evaluate_response(filt, omega_grid) -> list[ResponseSample]:
     with np.errstate(divide="ignore"):
         mdb = np.maximum(20.0 * np.log10(np.where(mag > 0, mag, np.nan)), DB_FLOOR)
     mdb = np.where(np.isnan(mdb), DB_FLOOR, mdb)
-    phase = np.unwrap(np.angle(h))
-    gd = _group_delay(filt, omega, h, dh)
-    return [
-        ResponseSample(float(w), complex(hv), float(db), float(ph), float(g))
-        for w, hv, db, ph, g in zip(omega, h, mdb, phase, gd)
-    ]
+    columns = (omega, h, mdb, np.unwrap(np.angle(h)), _group_delay(filt, omega, h, dh))
+    for col in columns:
+        col.flags.writeable = False
+    return ResponseTable(*columns)
 
 
-def write_response_csv(samples: Sequence[ResponseSample], out, flatness=None) -> None:
+def write_response_csv(table: ResponseTable, out, flatness=None) -> None:
     """CSV rows omega,magnitude_db,phase_rad,group_delay at 9 significant
     digits; an optional flatness report is appended as '#' comments."""
 
     def emit(f):
         f.write("omega,magnitude_db,phase_rad,group_delay\n")
-        for s in samples:
-            f.write(f"{s.omega:.9g},{s.magnitude_db:.9g},{s.phase:.9g},{s.group_delay:.9g}\n")
+        rows = zip(table.omega.tolist(), table.magnitude_db.tolist(),
+                   table.phase.tolist(), table.group_delay.tolist())
+        for w, db, ph, gd in rows:
+            f.write(f"{w:.9g},{db:.9g},{ph:.9g},{gd:.9g}\n")
         if flatness is not None:
             for k, m in enumerate(flatness, start=1):
                 f.write(f"# flatness order {k}: {m:.6e}\n")
@@ -129,12 +158,21 @@ def _central_derivative(f, order: int, h: float) -> float:
 
 def flatness_report(filt, max_order: int = 3, step: float = 1e-3) -> np.ndarray:
     """Richardson-extrapolated central-difference magnitudes of the
-    first max_order derivatives of |H(w)|^2 at w = 0."""
-    if max_order > 6:
-        raise ValueError("max_order above 6 is numerically meaningless here")
+    first max_order derivatives of |H(w)|^2 at w = 0.  |H|^2 is even, so
+    each distinct |w| of the stencils is evaluated once, as a
+    single-point response."""
+    if (isinstance(max_order, bool) or not isinstance(max_order, numbers.Integral)
+            or not 1 <= max_order <= 6):
+        raise ValueError(f"max_order must be an integer in 1..6, got {max_order!r}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
+    seen: dict[float, float] = {}
 
     def g(w):
-        return float(np.abs(frequency_response(filt, abs(w)))[0] ** 2)
+        w = abs(w)
+        if w not in seen:
+            seen[w] = float(np.abs(frequency_response(filt, w))[0] ** 2)
+        return seen[w]
 
     out = np.empty(max_order)
     for order in range(1, max_order + 1):

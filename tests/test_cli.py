@@ -27,6 +27,7 @@ from fadefilt.fileio import (
     write_signal_csv,
 )
 from fadefilt.flow import FlowConfig, process_sequence
+from fadefilt.response import evaluate_response, flatness_report, write_response_csv
 from fadefilt.runtime import Axis, Priming, filter_image_separable, filter_time_stack
 from fadefilt.synthetic import translating_plaid
 
@@ -147,6 +148,23 @@ def test_response_flag_validation(tmp_path, capsys):
     assert main(["response", "--coeff", str(coeff), "--points", "1"]) == 2
     assert main(["response", "--coeff", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flatness", [False, True], ids=["plain", "flatness"])
+@pytest.mark.parametrize("design_args", [
+    ["--q", "2.5"],
+    ["--D", "1", "--causality", "noncausal"],
+], ids=["causal-smoother", "two-sided-differentiator"])
+def test_response_bytes_match_the_library(tmp_path, design_args, flatness):
+    coeff = design_file(tmp_path, "coeff.json", *design_args)
+    out = tmp_path / "resp.csv"
+    argv = ["response", "--coeff", str(coeff), "--points", "33", "--out", str(out)]
+    assert main(argv + (["--report-flatness"] if flatness else [])) == 0
+    filt, _ = read_coefficients_json(coeff)
+    expected = tmp_path / "expected.csv"
+    write_response_csv(evaluate_response(filt, np.linspace(0.0, np.pi, 33)),
+                       expected, flatness_report(filt) if flatness else None)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 # ---------------------------------------------------------------- filter

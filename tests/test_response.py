@@ -9,6 +9,7 @@ from fadefilt.closed_form import ClosedForm, closed_form_coefficients, optimal_q
 from fadefilt.design import FilterDesign, derive_causal_lde, derive_noncausal_pair
 from fadefilt.response import (
     DB_FLOOR,
+    ResponseTable,
     evaluate_response,
     flatness_report,
     frequency_response,
@@ -80,16 +81,33 @@ def test_zero_phase_pair_has_zero_group_delay():
 
 
 def test_evaluate_response_fields():
-    samples = evaluate_response(smoother(1.0), np.linspace(0.0, math.pi, 9))
-    assert len(samples) == 9
-    first = samples[0]
-    assert first.omega == 0.0
-    assert first.magnitude_db == pytest.approx(0.0, abs=1e-9)
-    assert first.phase == pytest.approx(0.0, abs=1e-9)
+    table = evaluate_response(smoother(1.0), np.linspace(0.0, math.pi, 9))
+    assert isinstance(table, ResponseTable)
+    for column in (table.omega, table.value, table.magnitude_db, table.phase,
+                   table.group_delay):
+        assert column.shape == (9,)
+    assert table.omega[0] == 0.0
+    assert table.magnitude_db[0] == pytest.approx(0.0, abs=1e-9)
+    assert table.phase[0] == pytest.approx(0.0, abs=1e-9)
     # dB floor at a true null
     q = optimal_q(ClosedForm.SMOOTHER_K0, P_REF)
-    floored = evaluate_response(smoother(q), np.array([math.pi]))[0]
-    assert floored.magnitude_db == DB_FLOOR
+    floored = evaluate_response(smoother(q), np.array([math.pi]))
+    assert floored.magnitude_db[0] == DB_FLOOR
+
+
+def test_evaluate_response_columns_are_read_only():
+    grid = np.linspace(0.0, math.pi, 5)
+    table = evaluate_response(smoother(1.0), grid)
+    for column in (table.omega, table.value, table.magnitude_db, table.phase,
+                   table.group_delay):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0.0
+    # the caller's grid is copied, not frozen or aliased
+    assert grid.flags.writeable
+    assert not np.shares_memory(table.omega, grid)
+    with pytest.raises(AttributeError):
+        table.omega = grid
 
 
 @pytest.mark.parametrize("filt", [
@@ -100,11 +118,9 @@ def test_evaluate_response_fields():
 def test_evaluate_response_matches_the_public_functions_bitwise(filt):
     # omega = 0 is on the grid: a zero of both differentiators' response
     omega = np.linspace(0.0, math.pi, 65)
-    samples = evaluate_response(filt, omega)
-    value = np.array([s.value for s in samples])
-    delay = np.array([s.group_delay for s in samples])
-    assert np.array_equal(value, frequency_response(filt, omega))
-    assert np.array_equal(delay, group_delay(filt, omega))
+    table = evaluate_response(filt, omega)
+    assert np.array_equal(table.value, frequency_response(filt, omega))
+    assert np.array_equal(table.group_delay, group_delay(filt, omega))
 
 
 def test_evaluate_response_rejects_out_of_range_grid():
@@ -114,16 +130,26 @@ def test_evaluate_response_rejects_out_of_range_grid():
         evaluate_response(smoother(), np.array([0.5, 3.5]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evaluate_response_rejects_non_finite_grid(bad):
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_response(smoother(), np.array([0.0, bad, 1.0]))
+
+
 def test_csv_output_format():
-    samples = evaluate_response(smoother(1.0), np.linspace(0.0, math.pi, 3))
+    table = evaluate_response(smoother(1.0), np.linspace(0.0, math.pi, 3))
     buf = io.StringIO()
-    write_response_csv(samples, buf, flatness=np.array([1e-12, 2e-9]))
+    write_response_csv(table, buf, flatness=np.array([1e-12, 2e-9]))
     lines = buf.getvalue().splitlines()
     assert lines[0] == "omega,magnitude_db,phase_rad,group_delay"
     assert len(lines) == 1 + 3 + 2
     assert lines[-2] == "# flatness order 1: 1.000000e-12"
     for row in lines[1:4]:
         assert len(row.split(",")) == 4
+    # each row is its table entries at 9 significant digits
+    for row, i in zip(lines[1:4], range(3)):
+        assert row == ",".join(f"{float(col[i]):.9g}" for col in (
+            table.omega, table.magnitude_db, table.phase, table.group_delay))
 
 
 def test_flatness_to_third_order():
@@ -138,6 +164,64 @@ def test_flatness_to_third_order():
         assert report.shape == (4,)
         assert np.all(report[:3] < 1e-4)
         assert report[3] > 1.0
+
+
+def _flatness_reference(filt, max_order, step=1e-3):
+    """The report as first written: one single-point frequency_response
+    call for every sample of every stencil."""
+
+    def g(w):
+        return float(np.abs(frequency_response(filt, abs(w)))[0] ** 2)
+
+    def central(order, h):
+        acc = 0.0
+        for k in range(order + 1):
+            acc += (-1.0) ** k * math.comb(order, k) * g((order / 2.0 - k) * h)
+        return acc / h**order
+
+    out = np.empty(max_order)
+    for order in range(1, max_order + 1):
+        d_h = central(order, step)
+        d_h2 = central(order, step / 2.0)
+        out[order - 1] = abs((4.0 * d_h2 - d_h) / 3.0)
+    return out
+
+
+@pytest.mark.parametrize("degree", range(7))
+@pytest.mark.parametrize("causality", [Causality.CAUSAL, Causality.TWO_SIDED],
+                         ids=["causal", "two-sided"])
+def test_flatness_report_matches_the_per_sample_reference_bitwise(causality, degree):
+    for derivative in range(min(degree, 2) + 1):
+        for kappa in (0, 1, 2) if causality is Causality.CAUSAL else (0,):
+            for pole in (0.3, 0.6, 0.9):
+                weight = WeightSpec(math.log(pole), kappa, causality=causality)
+                if causality is Causality.CAUSAL:
+                    filt = derive_causal_lde(FilterDesign(degree, derivative, weight, 1.5))
+                else:
+                    filt = derive_noncausal_pair(FilterDesign(degree, derivative, weight))
+                reference = _flatness_reference(filt, 6)
+                for max_order in range(1, 7):
+                    report = flatness_report(filt, max_order)
+                    assert report.tobytes() == reference[:max_order].tobytes()
+                assert (flatness_report(filt, 3, 2e-3).tobytes()
+                        == _flatness_reference(filt, 3, 2e-3).tobytes())
+
+
+@pytest.mark.parametrize("max_order", [0, -1, 7, 2.5, True])
+def test_flatness_report_rejects_bad_max_order(max_order):
+    with pytest.raises(ValueError, match="max_order"):
+        flatness_report(smoother(), max_order)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
+def test_flatness_report_rejects_bad_step(step):
+    with pytest.raises(ValueError, match="step"):
+        flatness_report(smoother(), 3, step)
+
+
+def test_is_flat_is_not_vacuous_at_order_zero():
+    with pytest.raises(ValueError, match="max_order"):
+        is_flat(smoother(), 0)
 
 
 def test_nyquist_gain_and_zero_detection():
