@@ -48,7 +48,6 @@ from .runtime import (
     filter_image_separable,
     filter_noncausal,
     filter_time_stack,
-    steady_state_gain,
 )
 from .flow import (
     FlowConfig,
@@ -113,7 +112,6 @@ __all__ = [
     "solve_flow",
     "spatial_gradients",
     "spectrum_filter_bank",
-    "steady_state_gain",
     "synthesis_weights",
     "temporal_gradient",
     "translating_plaid",

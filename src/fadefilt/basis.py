@@ -48,8 +48,10 @@ class BasisSet:
         return npoly.polyval(np.asarray(m, dtype=float), c)
 
 
-def _moment_inner(a: np.ndarray, b: np.ndarray, mu: np.ndarray) -> float:
-    # <a, b> with polynomials in monomial coefficients: sum_ij a_i b_j mu[i+j]
+def _moment_inner(a: np.ndarray, b: np.ndarray, mu: list) -> float:
+    # <a, b> with polynomials in monomial coefficients: sum_ij a_i b_j mu[i+j],
+    # on Python floats (IEEE doubles, so the same bits as numpy scalars)
+    a, b = a.tolist(), b.tolist()
     n = len(a)
     acc = 0.0
     for i in range(n):
@@ -72,7 +74,7 @@ def orthonormal_basis(degree: int, weight: WeightSpec) -> BasisSet:
         raise ValueError("degree must be >= 0")
     if degree > MAX_DEGREE:
         raise ValueError(f"degree {degree} exceeds supported maximum {MAX_DEGREE}")
-    mu = weight_moments(weight, 2 * degree)
+    mu = weight_moments(weight, 2 * degree).tolist()
     n = degree + 1
     rows = np.eye(n)
     for k in range(n):

@@ -105,7 +105,7 @@ class LdeCoefficients:
         """Delay-line contents at the fixed point under unit constant
         input (transposed direct-form II convention); computed on first
         use and kept, read-only."""
-        zi = scipy.signal.lfilter_zi(self.b, self.a)
+        zi = scipy.signal.lfilter_zi(self.b, self.a) if self.order else np.zeros(0)
         zi.flags.writeable = False
         return zi
 

@@ -12,13 +12,15 @@ singular part of H'/H at a simple zero is purely real.
 
 `evaluate_response` returns a `ResponseTable`: one read-only array per
 column (omega, complex value, magnitude in dB, unwrapped phase, group
-delay), computed from one phase matrix per coefficient length.
-`flatness_report` probes |H|^2 with central-difference stencils around
-w = 0 and evaluates each distinct |w| of the stencils once.
+delay), computed from one phase matrix per coefficient length; the
+matrices are cached per grid.  `flatness_report` probes |H|^2 with
+central-difference stencils around w = 0 and evaluates each distinct
+|w| of the stencils once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -30,6 +32,7 @@ from .design import LdeCoefficients, NonCausalPair
 
 DB_FLOOR = -300.0
 _RESPONSE_EPS = 1e-12
+_PHASE_CACHE_ELEMENTS = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,8 +47,19 @@ class ResponseTable:
 
 
 def _phase_matrix(n: int, omega: np.ndarray) -> np.ndarray:
-    """e^{-jwm} for m = 0..n-1, one row per frequency."""
+    """e^{-jwm} for m = 0..n-1, one row per frequency.  Matrices of up
+    to _PHASE_CACHE_ELEMENTS entries come read-only from a bounded cache
+    keyed on a copy of the grid's bytes; larger ones are built fresh."""
+    if n * omega.size <= _PHASE_CACHE_ELEMENTS:
+        return _cached_phase_matrix(n, omega.tobytes())
     return np.exp(-1j * np.outer(omega, np.arange(n)))
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_phase_matrix(n: int, omega_bytes: bytes) -> np.ndarray:
+    phase = np.exp(-1j * np.outer(np.frombuffer(omega_bytes), np.arange(n)))
+    phase.flags.writeable = False
+    return phase
 
 
 def _lde_phases(lde: LdeCoefficients, omega: np.ndarray):

@@ -8,7 +8,9 @@ per-pixel frame path perform the same floating-point operations in the
 same order, so their outputs agree bit for bit; tests rely on that.
 FilterState steps on Python floats, which are IEEE doubles like
 numpy's float64, so it stays bitwise equal to filter_causal at a
-fraction of the cost of stepping on numpy scalars.
+fraction of the cost of stepping on numpy scalars.  Its step is
+straight-line code generated and compiled once per filter order
+(order 0 included), with the loop's operations in the loop's order.
 
 Priming controls the initial delay-line contents.  Zero starts from
 rest.  HoldFirst loads the analytic steady state the filter would have
@@ -20,6 +22,7 @@ cannot remove them entirely).
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -47,24 +50,37 @@ def _padded(lde: LdeCoefficients) -> tuple[np.ndarray, np.ndarray]:
     return b, a
 
 
-def steady_state_gain(lde: LdeCoefficients) -> np.ndarray:
-    """Delay-line contents at the fixed point under unit constant input
-    (transposed direct-form II convention).  Computed once per
-    coefficient set; the array is read-only."""
-    return lde.steady_state
+@functools.lru_cache(maxsize=64)
+def _step_kernel(order: int):
+    """Compile, once per order, a factory for a straight-line transposed
+    direct-form II step.  The factory binds a delay-line list and the
+    coefficients as default arguments, so the step loads them as locals;
+    each z[i] keeps the loop's order, z[i+1] + b[i+1]*x - a[i+1]*y."""
+    coef = [f"b{i}" for i in range(order + 1)] + [f"a{i}" for i in range(1, order + 1)]
+    body = ["x = float(x)", "y = b0 * x" + (" + z[0]" if order else "")]
+    body += [f"z[{i}] = {f'z[{i + 1}] + ' if i + 1 < order else ''}b{i + 1} * x - a{i + 1} * y"
+             for i in range(order)]
+    source = (f"def make(z, {', '.join(coef)}):\n"
+              f"    def step(x, z=z, {', '.join(f'{c}={c}' for c in coef)}, float=float):\n"
+              + "".join(f"        {line}\n" for line in body + ["return y"])
+              + "    return step\n")
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["make"]
 
 
 class FilterState:
     """Single-channel streaming filter.  Mutable and single-owner; make
-    one per concurrent stream.  Coefficients and delay line are Python
-    float lists, built once."""
+    one per concurrent stream.  ``step(x)`` advances one sample and
+    returns the output as a Python float; it is the compiled kernel for
+    the filter's order, with the coefficients and the delay-line list
+    bound once."""
 
     def __init__(self, coefficients: LdeCoefficients):
         self.coefficients = coefficients
         b, a = _padded(coefficients)
-        self._b = b.tolist()
-        self._a = a.tolist()
-        self._z = [0.0] * (len(self._b) - 1)
+        self._z = [0.0] * (len(b) - 1)
+        self.step = _step_kernel(len(self._z))(self._z, *b.tolist(), *a[1:].tolist())
 
     @property
     def delay_line(self) -> np.ndarray:
@@ -72,21 +88,11 @@ class FilterState:
         return np.array(self._z)
 
     def reset(self) -> None:
-        self._z = [0.0] * len(self._z)
+        self._z[:] = [0.0] * len(self._z)
 
     def prime_constant(self, x0: float) -> None:
         """Jump to the steady state for constant input x0."""
-        self._z = (steady_state_gain(self.coefficients) * x0).tolist()
-
-    def step(self, x: float) -> float:
-        b, a, z = self._b, self._a, self._z
-        x = float(x)
-        n = len(z)
-        y = b[0] * x + z[0]
-        for i in range(n - 1):
-            z[i] = z[i + 1] + b[i + 1] * x - a[i + 1] * y
-        z[n - 1] = b[n] * x - a[n] * y
-        return y
+        self._z[:] = (self.coefficients.steady_state * x0).tolist()
 
 
 class FrameFilter:
@@ -98,7 +104,7 @@ class FrameFilter:
         n = len(self._b) - 1
         shape = tuple(shape)
         if hold is not None:
-            zi = steady_state_gain(coefficients)
+            zi = coefficients.steady_state
             self.state = zi.reshape((n,) + (1,) * len(shape)) * np.asarray(hold, float)
         else:
             self.state = np.zeros((n,) + shape)
@@ -127,7 +133,7 @@ class FrameFilter:
 
 def _causal_pass(lde: LdeCoefficients, x: np.ndarray, axis: int, priming: Priming) -> np.ndarray:
     if priming is Priming.HOLD_FIRST:
-        zi = steady_state_gain(lde)
+        zi = lde.steady_state
         if axis == 0:
             hold = x[:1] * zi.reshape((-1,) + (1,) * (x.ndim - 1))
         else:

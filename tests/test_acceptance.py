@@ -4,9 +4,15 @@ Each test prints the same one-line report the selftest command emits,
 so `pytest -v -s tests/test_acceptance.py` reads as the full scorecard.
 """
 
+import hashlib
+
 import pytest
 
-from fadefilt import acceptance
+from fadefilt import acceptance, cli
+
+# SHA-256 of the `fadefilt selftest` report; a change to any printed
+# figure must re-baseline this on purpose
+SELFTEST_SHA256 = "b8cb9c397ceaab15d1d97fc3c05728532aa5224b09f784eb4a270114b9b4d7e5"
 
 _IDS = [f"{i:02d}-{name}" for i, (name, _) in enumerate(acceptance.CRITERIA, start=1)]
 
@@ -33,3 +39,10 @@ def test_report_lines_are_deterministic():
     first = [acceptance.format_result(r) for r in acceptance.run_all()]
     second = [acceptance.format_result(r) for r in acceptance.run_all()]
     assert first == second
+
+
+def test_selftest_report_is_byte_identical(capsys):
+    assert cli.main(["selftest"]) == 0
+    report = capsys.readouterr().out
+    digest = hashlib.sha256(report.encode()).hexdigest()
+    assert digest == SELFTEST_SHA256, f"selftest report changed:\n{report}"

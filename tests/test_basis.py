@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from fadefilt import basis as basis_module
 from fadefilt.basis import MAX_DEGREE, orthonormal_basis, synthesis_weights
 from fadefilt.weights import Causality, WeightSpec
 
@@ -97,3 +98,32 @@ def test_sample_period_scaling():
     assert np.allclose(c_half, 2.0 * c_unit)
     with pytest.raises(ValueError):
         synthesis_weights(basis, -1, 0.0)
+
+
+def _numpy_scalar_moment_inner(a, b, mu):
+    # the Gram-Schmidt inner product stepped on numpy float64 scalars
+    mu = np.asarray(mu, dtype=float)
+    n = len(a)
+    acc = 0.0
+    for i in range(n):
+        if a[i] == 0.0:
+            continue
+        for j in range(n):
+            acc += a[i] * b[j] * mu[i + j]
+    return acc
+
+
+@pytest.mark.parametrize(
+    "causality, kappa",
+    [(Causality.CAUSAL, 0), (Causality.CAUSAL, 1), (Causality.CAUSAL, 2),
+     (Causality.TWO_SIDED, 0)],
+    ids=["causal-k0", "causal-k1", "causal-k2", "two-sided"],
+)
+def test_python_float_inner_product_is_bitwise_identical(monkeypatch, causality, kappa):
+    # two-sided windows take kappa = 0 only
+    specs = [WeightSpec(math.log(p), kappa, causality) for p in (0.3, 0.6, 0.85, 0.9, 0.98)]
+    got = [orthonormal_basis(degree, spec).alpha for spec in specs for degree in range(7)]
+    monkeypatch.setattr(basis_module, "_moment_inner", _numpy_scalar_moment_inner)
+    want = [orthonormal_basis(degree, spec).alpha for spec in specs for degree in range(7)]
+    for g, w in zip(got, want, strict=True):
+        assert g.tobytes() == w.tobytes()

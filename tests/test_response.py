@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
+from fadefilt import response as response_module
 from fadefilt.closed_form import ClosedForm, closed_form_coefficients, optimal_q
 from fadefilt.design import FilterDesign, derive_causal_lde, derive_noncausal_pair
 from fadefilt.response import (
@@ -250,3 +251,68 @@ def test_white_noise_gain_of_one_pole():
 
     lde = LdeCoefficients(b=np.array([1 - p]), a=np.array([1.0, -p]))
     assert white_noise_gain(lde) == pytest.approx((1 - p) ** 2 / (1 - p**2), rel=1e-12)
+
+
+PHASE_CACHE = response_module._cached_phase_matrix
+
+
+@pytest.mark.parametrize("filt", [
+    smoother(1.0),
+    derive_noncausal_pair(FilterDesign(2, 1, WeightSpec(-1.0, causality=Causality.TWO_SIDED))),
+    closed_form_coefficients(ClosedForm.DIFFERENTIATOR_K0, P_REF, 3.0),
+    derive_causal_lde(FilterDesign(6, 2, WeightSpec(math.log(0.9), 2), 2.5)),
+], ids=["causal", "two-sided", "differentiator", "B6-D2-kappa2"])
+def test_cold_and_warm_phase_cache_give_the_same_bits(filt):
+    omega = np.linspace(0.0, math.pi, 512)
+
+    def results():
+        table = evaluate_response(filt, omega)
+        return [table.value, table.magnitude_db, table.phase, table.group_delay,
+                group_delay(filt, omega), frequency_response(filt, omega),
+                flatness_report(filt, 6)]
+
+    PHASE_CACHE.cache_clear()
+    cold = results()
+    assert PHASE_CACHE.cache_info().currsize > 0
+    warm = results()
+    assert PHASE_CACHE.cache_info().hits > 0
+    for c, w in zip(cold, warm, strict=True):
+        assert c.tobytes() == w.tobytes()
+
+
+def test_phase_cache_is_bounded_and_read_only():
+    lde = smoother(1.0)
+    PHASE_CACHE.cache_clear()
+    for k in range(1000):
+        frequency_response(lde, np.linspace(0.0, math.pi, 8) * (1.0 - k * 1e-4))
+    info = PHASE_CACHE.cache_info()
+    assert info.misses >= 1000
+    assert 0 < info.currsize <= info.maxsize
+    phase = response_module._phase_matrix(3, np.linspace(0.0, 1.0, 4))
+    assert not phase.flags.writeable
+
+
+def test_phase_cache_does_not_alias_the_callers_grid():
+    lde = derive_causal_lde(FilterDesign(3, 1, WeightSpec(math.log(0.6), 1), 1.5))
+    omega = np.linspace(0.0, math.pi, 33)
+    want_h = frequency_response(lde, omega.copy())
+    want_gd = group_delay(lde, omega.copy())
+    PHASE_CACHE.cache_clear()
+    frequency_response(lde, omega)
+    group_delay(lde, omega)
+    omega *= 0.5
+    omega[3] = 1.0
+    fresh = np.linspace(0.0, math.pi, 33)
+    assert frequency_response(lde, fresh).tobytes() == want_h.tobytes()
+    assert group_delay(lde, fresh).tobytes() == want_gd.tobytes()
+
+
+def test_grids_beyond_the_cache_element_limit_are_built_fresh():
+    lde = smoother(1.0)
+    n = min(len(lde.b), len(lde.a))
+    points = response_module._PHASE_CACHE_ELEMENTS // n + 1
+    omega = np.linspace(0.0, math.pi, points)
+    PHASE_CACHE.cache_clear()
+    first = frequency_response(lde, omega)
+    assert PHASE_CACHE.cache_info().currsize == 0
+    assert frequency_response(lde, omega).tobytes() == first.tobytes()

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fadefilt.closed_form import ClosedForm, closed_form_coefficients
-from fadefilt.design import FilterDesign, derive_causal_lde, derive_noncausal_pair
+from fadefilt.design import (
+    FilterDesign,
+    LdeCoefficients,
+    derive_causal_lde,
+    derive_noncausal_pair,
+)
 from fadefilt.runtime import (
     Axis,
     FilterState,
@@ -16,7 +21,6 @@ from fadefilt.runtime import (
     filter_image_separable,
     filter_noncausal,
     filter_time_stack,
-    steady_state_gain,
 )
 from fadefilt.weights import Causality, WeightSpec
 
@@ -66,12 +70,43 @@ def test_primed_scalar_path_is_bitwise_identical_to_hold_first(degree, kappa):
     assert np.array_equal(scalar, filter_causal(lde, x, Priming.HOLD_FIRST))
 
 
+# order 0 (a pure gain), then derived designs of orders 1-9
+BY_ORDER = [LdeCoefficients(b=[2.0], a=[1.0])] + [
+    _derived(min(n - 1, 6), max(n - 7, 0)) for n in range(1, 10)
+]
+
+
+def test_order_zero_state_is_a_gain():
+    state = FilterState(LdeCoefficients(b=[2.0], a=[1.0]))
+    assert state.step(1.5) == 3.0
+    state.prime_constant(4.0)
+    state.reset()
+    assert state.delay_line.shape == (0,)
+    assert state.step(-0.25) == -0.5
+
+
+@pytest.mark.parametrize("lde", BY_ORDER, ids=[f"order{lde.order}" for lde in BY_ORDER])
+@pytest.mark.parametrize("priming", list(Priming))
+def test_mid_stream_reprime_is_bitwise_identical(lde, priming):
+    x = (np.random.default_rng(7).standard_normal(160) + 1.0).tolist()
+    head, tail = x[:70], x[70:]
+    state = FilterState(lde)
+    for v in head:
+        state.step(v)
+    if priming is Priming.HOLD_FIRST:
+        state.prime_constant(tail[0])
+    else:
+        state.reset()
+    got = np.array([state.step(v) for v in tail])
+    assert np.array_equal(got, filter_causal(lde, tail, priming))
+
+
 def test_delay_line_reads_as_float_array():
     state = FilterState(DIFF)
     assert state.delay_line.dtype == np.float64
     assert np.array_equal(state.delay_line, np.zeros(len(DIFF.a) - 1))
     state.prime_constant(0.25)
-    assert np.array_equal(state.delay_line, steady_state_gain(DIFF) * 0.25)
+    assert np.array_equal(state.delay_line, DIFF.steady_state * 0.25)
     state.reset()
     assert not state.delay_line.any()
 
@@ -116,7 +151,7 @@ def test_hold_priming_array_path():
 
 
 def test_steady_state_gain_shape():
-    zi = steady_state_gain(SMOOTHER)
+    zi = SMOOTHER.steady_state
     assert zi.shape == (len(SMOOTHER.a) - 1,)
 
 
