@@ -8,21 +8,26 @@ response
     h(m) = sum_k c_k psi_k(m) w(m),   m >= 0
 
 which is a degree-(B+kappa) polynomial times p**m, hence rational with
-denominator (1 - p z^-1)**(B+kappa+1).  The numerator follows by
-convolving that known denominator with the impulse response prefix and
-truncating; the convolution must then vanish identically for all later
-samples, which is checked and makes the construction self-validating.
+denominator (1 - p z^-1)**(B+kappa+1).  One path realizes every derived
+filter: the numerator follows by convolving that known denominator with
+the impulse response prefix and truncating; the convolution must then
+vanish for the next five samples, which is checked and makes the
+construction self-validating.  The causal estimator, each half of a
+two-sided design and each filter k of a spectrum bank (psi_k(m) w(m)
+alone) differ only in the impulse response they hand to that path.
 
 Two-sided (zero-phase or odd-phase) designs are realized as a causal
 forward filter plus the mirrored filter run over the reversed signal,
 with the center sample m = 0 shared half-and-half between the two
-passes.  The half split makes each one-sided response rational of the
-same order and reproduces the tabulated non-causal forms exactly.
+passes; the backward half is the same combination taken over -m.  The
+half split makes each one-sided response rational of the same order
+and reproduces the tabulated non-causal forms exactly.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -132,7 +137,6 @@ class SpectrumFilterBank:
 
     filters: tuple
     synthesis: np.ndarray
-    design: FilterDesign
 
 
 def binomial_denominator(pole: float, multiplicity: int) -> np.ndarray:
@@ -156,38 +160,37 @@ def pole_multiplicity(lde: LdeCoefficients) -> tuple[float, int]:
     return float(pole), n
 
 
-def impulse_response_prefix(
-    design: FilterDesign, basis: BasisSet | None = None, length: int = 0
-) -> np.ndarray:
+def impulse_response_prefix(design: FilterDesign, length: int) -> np.ndarray:
     """First ``length`` samples of the exact causal impulse response
     h(m) = sum_k c_k psi_k(m) w(m).  For two-sided designs this is the
     m >= 0 half of the symmetric response (no center split applied)."""
-    if basis is None:
-        basis = orthonormal_basis(design.degree, design.weight)
-    if basis.weight != design.weight or basis.degree != design.degree:
-        raise ValueError("basis does not match the design's weight/degree")
     if length < design.degree + design.kappa + 2:
         raise ValueError("length must cover the full numerator support")
+    basis = orthonormal_basis(design.degree, design.weight)
     c = synthesis_weights(basis, design.derivative, design.delay, design.sample_period)
-    return _weighted_combination(basis, c, design.weight, length)
+    return _weighted_combination(basis, c, design.weight, np.arange(length, dtype=float))
 
 
 def _weighted_combination(
-    basis: BasisSet, c: np.ndarray, weight: WeightSpec, length: int
+    basis: BasisSet, c: np.ndarray, weight: WeightSpec, m: np.ndarray
 ) -> np.ndarray:
-    m = np.arange(length, dtype=float)
-    vals = np.zeros(length)
+    vals = np.zeros(len(m))
     for k in range(basis.degree + 1):
         vals += c[k] * basis.evaluate(k, m)
     return vals * weight.values(m)
 
 
-def _numerator_from_impulse(a: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """b = a (*) h truncated to len(a); the same convolution must vanish
+def _realize(
+    design: FilterDesign, impulse: Callable[[np.ndarray], np.ndarray]
+) -> LdeCoefficients:
+    """Realize the impulse response ``impulse(m)``, evaluated on
+    m = 0, 1, 2, ..., over the denominator (1 - p z^-1)**(B+kappa+1).
+    b = a (*) h truncated to len(a); the same convolution must vanish
     for the following five samples or the response is not rational with
     this denominator."""
-    n = len(a) - 1
-    full = np.convolve(a, h)
+    n = design.degree + design.kappa + 1
+    a = binomial_denominator(design.pole, n)
+    full = np.convolve(a, impulse(np.arange(n + 6, dtype=float)))
     b = full[: n + 1].copy()
     tail = np.max(np.abs(full[n + 1 : n + 6]))
     scale = max(1.0, float(np.max(np.abs(b))))
@@ -196,20 +199,15 @@ def _numerator_from_impulse(a: np.ndarray, h: np.ndarray) -> np.ndarray:
             f"trailing convolution terms do not vanish (residual {tail:.3e}); "
             "impulse response is not rational with the assumed denominator"
         )
-    return b
+    return LdeCoefficients(b=b, a=a, sample_period=design.sample_period)
 
 
-def derive_causal_lde(design: FilterDesign, basis: BasisSet | None = None) -> LdeCoefficients:
-    """General causal derivation: binomial denominator of multiplicity
-    B + kappa + 1, numerator extracted by denominator*impulse
-    convolution with a trailing-vanish validation."""
+def derive_causal_lde(design: FilterDesign) -> LdeCoefficients:
+    """General causal derivation: the realization of the combined
+    impulse response h(m) = sum_k c_k psi_k(m) w(m)."""
     if design.causality is not Causality.CAUSAL:
         raise ValueError("derive_causal_lde requires a causal design")
-    n = design.degree + design.kappa + 1
-    a = binomial_denominator(design.pole, n)
-    h = impulse_response_prefix(design, basis, n + 6)
-    b = _numerator_from_impulse(a, h)
-    return LdeCoefficients(b=b, a=a, sample_period=design.sample_period)
+    return _realize(design, lambda m: impulse_response_prefix(design, len(m)))
 
 
 def derive_noncausal_pair(design: FilterDesign) -> NonCausalPair:
@@ -220,28 +218,14 @@ def derive_noncausal_pair(design: FilterDesign) -> NonCausalPair:
         raise ValueError("derive_noncausal_pair requires a two-sided design")
     basis = orthonormal_basis(design.degree, design.weight)
     c = synthesis_weights(basis, design.derivative, design.delay, design.sample_period)
-    n = design.degree + 1
-    a = binomial_denominator(design.pole, n)
 
-    m = np.arange(n + 6, dtype=float)
-    decay = design.pole ** m
-    fwd = np.zeros(n + 6)
-    bwd = np.zeros(n + 6)
-    for k in range(design.degree + 1):
-        fwd += c[k] * basis.evaluate(k, m)
-        bwd += c[k] * basis.evaluate(k, -m)
-    fwd *= decay
-    bwd *= decay
-    fwd[0] *= 0.5
-    bwd[0] *= 0.5
+    def halved(m: np.ndarray) -> np.ndarray:
+        h = _weighted_combination(basis, c, design.weight, m)
+        h[0] *= 0.5
+        return h
 
-    forward = LdeCoefficients(
-        b=_numerator_from_impulse(a, fwd), a=a, sample_period=design.sample_period
-    )
-    backward = LdeCoefficients(
-        b=_numerator_from_impulse(a, bwd), a=a, sample_period=design.sample_period
-    )
-    return NonCausalPair(forward=forward, backward=backward)
+    forward = _realize(design, halved)
+    return NonCausalPair(forward=forward, backward=_realize(design, lambda m: halved(-m)))
 
 
 def spectrum_filter_bank(design: FilterDesign) -> SpectrumFilterBank:
@@ -252,17 +236,9 @@ def spectrum_filter_bank(design: FilterDesign) -> SpectrumFilterBank:
     if design.causality is not Causality.CAUSAL:
         raise ValueError("spectrum_filter_bank requires a causal design")
     basis = orthonormal_basis(design.degree, design.weight)
-    n = design.degree + design.kappa + 1
-    a = binomial_denominator(design.pole, n)
-    filters = []
-    for k in range(design.degree + 1):
-        unit = np.zeros(design.degree + 1)
-        unit[k] = 1.0
-        h = _weighted_combination(basis, unit, design.weight, n + 6)
-        filters.append(
-            LdeCoefficients(
-                b=_numerator_from_impulse(a, h), a=a, sample_period=design.sample_period
-            )
-        )
+    filters = tuple(
+        _realize(design, lambda m: basis.evaluate(k, m) * design.weight.values(m))
+        for k in range(design.degree + 1)
+    )
     c = synthesis_weights(basis, design.derivative, design.delay, design.sample_period)
-    return SpectrumFilterBank(filters=tuple(filters), synthesis=c, design=design)
+    return SpectrumFilterBank(filters=filters, synthesis=c)

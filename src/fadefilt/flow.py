@@ -40,7 +40,7 @@ import numpy as np
 
 from .closed_form import ClosedForm, closed_form_coefficients
 from .design import FilterDesign, LdeCoefficients, NonCausalPair, derive_causal_lde
-from .runtime import Axis, FrameFilter, filter_image_separable
+from .runtime import Axis, FrameFilter, filter_image_separable, filter_time_stack
 from .weights import Causality, WeightSpec
 
 
@@ -152,18 +152,15 @@ def temporal_gradient(
     filled; frame_index is the input index of the delayed frame, which
     both outputs are aligned to."""
     delay = cfg.frame_delay
-    diff = cfg.temporal_differentiator()
-    state: FrameFilter | None = None
     buffer: list[np.ndarray] = []
-    for n, frame in enumerate(stream):
-        frame = np.asarray(frame, dtype=float)
-        if state is None:
-            shape = frame.shape
-            state = FrameFilter(diff, shape, hold=frame)
-        elif frame.shape != shape:
-            raise ValueError(f"frame {n} has shape {frame.shape}, but frame 0 had {shape}")
-        iz = state.step(frame)
-        buffer.append(frame)
+
+    def buffered() -> Iterator[np.ndarray]:
+        for frame in stream:
+            buffer.append(np.asarray(frame, dtype=float))
+            yield buffer[-1]
+
+    gradients = filter_time_stack(cfg.temporal_differentiator(), buffered())
+    for n, iz in enumerate(gradients):
         if len(buffer) > delay:
             yield n - delay, buffer.pop(0), iz
 

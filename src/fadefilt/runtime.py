@@ -119,6 +119,8 @@ class FrameFilter:
             raise ValueError(f"frame shape {x.shape} does not match the filter's {t.shape}")
         n = z.shape[0]
         y = np.multiply(x, b[0], out=out)
+        if n == 0:
+            return y
         y += z[0]
         # z[i, ...] stays an array view even for 0-d frames, where z[i]
         # would be a numpy scalar that cannot take out=
@@ -197,16 +199,16 @@ def filter_time_stack(
 ) -> Iterator[np.ndarray]:
     """Lazily filter a frame stream along time, one state per pixel.
     Frame streams are causal only; use the image path for two-sided
-    spatial work."""
+    spatial work.  A frame shaped unlike frame 0 raises ValueError
+    naming its index and both shapes."""
     if isinstance(lde, NonCausalPair):
         raise ValueError("frame streams are causal-only")
-    it = iter(frames)
-    try:
-        first = np.asarray(next(it), dtype=float)
-    except StopIteration:
-        return
-    hold = first if priming is Priming.HOLD_FIRST else None
-    ff = FrameFilter(lde, first.shape, hold=hold)
-    yield ff.step(first)
-    for frame in it:
-        yield ff.step(np.asarray(frame, dtype=float))
+    ff = None
+    for n, frame in enumerate(frames):
+        frame = np.asarray(frame, dtype=float)
+        if ff is None:
+            shape = frame.shape
+            ff = FrameFilter(lde, shape, hold=frame if priming is Priming.HOLD_FIRST else None)
+        elif frame.shape != shape:
+            raise ValueError(f"frame {n} has shape {frame.shape}, but frame 0 had {shape}")
+        yield ff.step(frame)

@@ -4,7 +4,7 @@ A fading-memory regression discounts past samples with a weight
 sequence.  Two families are supported:
 
 * causal:     w(m) = m**kappa * exp(sigma*m),  m = 0, 1, 2, ...
-* two-sided:  w(m) = exp(sigma*|m|),           m = ..., -1, 0, 1, ...
+* two-sided:  w(m) = p**|m| = exp(sigma*|m|),  m = ..., -1, 0, 1, ...
 
 with sigma < 0, so the discount factor p = exp(sigma) lies in (0, 1).
 The integer kappa >= 0 shapes the causal window; kappa >= 1 forces
@@ -61,11 +61,8 @@ class WeightSpec:
         """Evaluate w(m) elementwise (m may be negative for two-sided)."""
         m = np.asarray(m, dtype=float)
         if self.causality is Causality.CAUSAL:
-            w = np.where(m >= 0, np.abs(m) ** self.kappa * np.exp(self.sigma * m), 0.0)
-            if self.kappa > 0:
-                w = np.where(m == 0, 0.0, w)
-            return w
-        return np.exp(self.sigma * np.abs(m))
+            return np.where(m >= 0, np.abs(m) ** self.kappa * np.exp(self.sigma * m), 0.0)
+        return self.pole ** np.abs(m)
 
 
 def stirling2_table(n: int) -> np.ndarray:

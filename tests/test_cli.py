@@ -210,6 +210,18 @@ def test_filter_f32_time_stack(tmp_path):
                  "--out", str(tmp_path / "out.csv")]) == 2
 
 
+def test_filter_f32_time_stack_pure_gain(tmp_path):
+    coeff = tmp_path / "gain.json"
+    coeff.write_text(json.dumps({"b": [2.0], "a": [1.0]}))
+    src = tmp_path / "in.f32"
+    dst = tmp_path / "out.f32"
+    frames = np.random.default_rng(5).standard_normal((4, 3, 2)).astype("<f4")
+    write_float_stack(src, frames)
+    assert main(["filter", "--coeff", str(coeff), "--input", str(src),
+                 "--out", str(dst), "--axis", "time"]) == 0
+    assert np.array_equal(read_float_stack(dst), 2.0 * read_float_stack(src))
+
+
 @pytest.mark.parametrize("axis", ["time", "rows"])
 def test_filter_f32_stack_bytes(tmp_path, axis):
     coeff = design_file(tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from fadefilt.basis import orthonormal_basis
+from fadefilt.basis import orthonormal_basis, synthesis_weights
 from fadefilt.design import (
     FilterDesign,
     LdeCoefficients,
@@ -102,9 +102,6 @@ def test_impulse_response_prefix_validation():
     design = causal_design()
     with pytest.raises(ValueError):
         impulse_response_prefix(design, length=2)  # shorter than the support
-    wrong = orthonormal_basis(2, WeightSpec(-2.0))
-    with pytest.raises(ValueError):
-        impulse_response_prefix(design, basis=wrong, length=40)
 
 
 def test_derive_causal_rejects_two_sided():
@@ -175,3 +172,104 @@ def test_sample_period_scales_differentiator():
     fast = derive_causal_lde(causal_design(derivative=1, q=1.0, T=0.25))
     assert np.allclose(fast.b, 4.0 * base.b, rtol=1e-12)
     assert np.allclose(fast.a, base.a)
+
+
+# ------------------------------------------- bitwise guard on realization
+# Reference copies of the causal derivation, of the two-sided derivation
+# with its own fwd/bwd/decay loops and of the bank built from unit-vector
+# combinations.  The shared realization path must reproduce their
+# coefficients bit for bit, and raise where they raise.
+
+GUARD_POLES = (0.3, 0.5, 0.7, 0.85, 0.9, 0.95, 0.98)
+
+
+def _reference_lde(a, h):
+    n = len(a) - 1
+    full = np.convolve(a, h)
+    b = full[: n + 1].copy()
+    tail = np.max(np.abs(full[n + 1 : n + 6]))
+    if tail > 1e-9 * max(1.0, float(np.max(np.abs(b)))):
+        raise RuntimeError("trailing convolution terms do not vanish")
+    lde = LdeCoefficients(b=b, a=a)
+    return [lde.b, lde.a]
+
+
+def _reference_pair(design):
+    basis = orthonormal_basis(design.degree, design.weight)
+    c = synthesis_weights(basis, design.derivative, design.delay, design.sample_period)
+    n = design.degree + 1
+    a = binomial_denominator(design.pole, n)
+    m = np.arange(n + 6, dtype=float)
+    decay = design.pole ** m
+    fwd = np.zeros(n + 6)
+    bwd = np.zeros(n + 6)
+    for k in range(design.degree + 1):
+        fwd += c[k] * basis.evaluate(k, m)
+        bwd += c[k] * basis.evaluate(k, -m)
+    fwd *= decay
+    bwd *= decay
+    fwd[0] *= 0.5
+    bwd[0] *= 0.5
+    return _reference_lde(a, fwd) + _reference_lde(a, bwd)
+
+
+def _reference_causal(design):
+    basis = orthonormal_basis(design.degree, design.weight)
+    c = synthesis_weights(basis, design.derivative, design.delay, design.sample_period)
+    n = design.degree + design.kappa + 1
+    a = binomial_denominator(design.pole, n)
+    m = np.arange(n + 6, dtype=float)
+    w = m ** design.kappa * np.exp(design.weight.sigma * m)
+    if design.kappa > 0:
+        w[0] = 0.0
+    vals = np.zeros(n + 6)
+    for k in range(design.degree + 1):
+        vals += c[k] * basis.evaluate(k, m)
+    arrays = _reference_lde(a, vals * w)
+    for k in range(design.degree + 1):
+        unit = np.zeros(design.degree + 1)
+        unit[k] = 1.0
+        vals = np.zeros(n + 6)
+        for j in range(design.degree + 1):
+            vals += unit[j] * basis.evaluate(j, m)
+        arrays += _reference_lde(a, vals * w)
+    return arrays + [c]
+
+
+def _outcome(build, design):
+    """The coefficient bytes of a derivation, or the name of what it raised."""
+    try:
+        return [np.asarray(x, float).tobytes() for x in build(design)]
+    except (ValueError, RuntimeError) as e:
+        return type(e).__name__
+
+
+def _pair_arrays(design):
+    pair = derive_noncausal_pair(design)
+    return [pair.forward.b, pair.forward.a, pair.backward.b, pair.backward.a]
+
+
+def _causal_arrays(design):
+    lde = derive_causal_lde(design)
+    bank = spectrum_filter_bank(design)
+    return [lde.b, lde.a] + [x for f in bank.filters for x in (f.b, f.a)] + [bank.synthesis]
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_two_sided_pair_bitwise_matches_reference(degree):
+    for derivative in range(min(degree, 2) + 1):
+        for pole in GUARD_POLES:
+            weight = WeightSpec(math.log(pole), causality=Causality.TWO_SIDED)
+            design = FilterDesign(degree, derivative, weight)
+            want = _outcome(_reference_pair, design)
+            assert _outcome(_pair_arrays, design) == want, (derivative, pole)
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_causal_lde_and_bank_bitwise_match_reference(degree):
+    for derivative in range(min(degree, 2) + 1):
+        for kappa in range(3):
+            for pole in GUARD_POLES:
+                design = causal_design(degree, derivative, pole, kappa, q=1.5)
+                want = _outcome(_reference_causal, design)
+                assert _outcome(_causal_arrays, design) == want, (derivative, kappa, pole)

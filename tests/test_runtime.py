@@ -215,6 +215,18 @@ def test_time_stack_rejects_pairs():
     frames = np.zeros((5, 2, 2))
     with pytest.raises(ValueError):
         list(filter_time_stack(PAIR, frames))
+    mis_shaped = list(frames)
+    mis_shaped[3] = np.zeros((2, 3))
+    with pytest.raises(ValueError, match=r"frame 3 has shape \(2, 3\).*\(2, 2\)"):
+        list(filter_time_stack(SMOOTHER, mis_shaped))
+
+
+@pytest.mark.parametrize("priming", list(Priming))
+def test_time_stack_runs_a_pure_gain(priming):
+    gain = LdeCoefficients(b=[2.0], a=[1.0])
+    frames = np.random.default_rng(13).standard_normal((3, 2, 2))
+    got = np.stack(list(filter_time_stack(gain, frames, priming)))
+    assert np.array_equal(got, 2.0 * frames)
 
 
 def test_time_stack_hold_priming_uses_first_frame():
