@@ -55,8 +55,10 @@ class FilterDesign:
             raise ValueError(
                 f"derivative order {self.derivative} outside [0, degree={self.degree}]"
             )
-        if not (self.sample_period > 0.0):
-            raise ValueError("sample_period must be > 0")
+        if not (math.isfinite(self.sample_period) and self.sample_period > 0.0):
+            raise ValueError(f"sample_period must be finite and > 0, got {self.sample_period}")
+        if not math.isfinite(self.delay):
+            raise ValueError(f"delay must be finite, got {self.delay}")
         if self.weight.causality is Causality.TWO_SIDED and self.delay != 0.0:
             raise ValueError("two-sided designs require delay == 0")
 

@@ -20,6 +20,7 @@ then a) zero-padded to equal length, four rows for a pair.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 from typing import Iterator
@@ -235,12 +236,15 @@ def read_float_stack(path) -> np.ndarray:
 # --------------------------------------------------------- signal CSV
 
 def read_signal_csv(path) -> np.ndarray:
+    """One sample a line, skipping blanks and '#' comments; NaN or inf is an error."""
     vals = []
     with open(path) as f:
-        for line in f:
+        for number, line in enumerate(f, start=1):
             line = line.strip()
             if line and not line.startswith("#"):
                 vals.append(float(line))
+                if not math.isfinite(vals[-1]):
+                    raise ValueError(f"{path}: line {number} has a non-finite sample {line!r}")
     if not vals:
         raise ValueError(f"{path}: no samples")
     return np.array(vals)

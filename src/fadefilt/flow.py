@@ -60,16 +60,16 @@ class FlowConfig:
             raise ValueError("sigmas must be < 0")
         if not (0.0 < self.smoothing_pole < 1.0):
             raise ValueError("smoothing_pole must lie in (0, 1)")
-        if self.det_threshold < 0.0:
-            raise ValueError("det_threshold must be >= 0")
+        if not (math.isfinite(self.det_threshold) and self.det_threshold >= 0.0):
+            raise ValueError(f"det_threshold must be finite and >= 0, got {self.det_threshold}")
         if not (self.temporal_q >= 0.0 and float(self.temporal_q).is_integer()):
             raise ValueError(
                 f"temporal_q must be a whole number of frames >= 0, got {self.temporal_q}"
             )
         if self.temporal_kappa < 0:
             raise ValueError("temporal_kappa must be >= 0")
-        if not (self.t_space > 0.0 and self.t_time > 0.0):
-            raise ValueError("sample periods must be > 0")
+        if not all(math.isfinite(t) and t > 0.0 for t in (self.t_space, self.t_time)):
+            raise ValueError("sample periods must be finite and > 0")
 
     @property
     def spatial_pole(self) -> float:

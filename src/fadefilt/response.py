@@ -1,26 +1,26 @@
 """Frequency-domain analysis: magnitude, phase, group delay, passband
 flatness, Nyquist attenuation, and white-noise gain.
 
-Group delay is computed analytically.  With P'(w) = sum_m (-jm) p_m
-e^{-jwm} for a coefficient polynomial P, the delay of H = N/D is
--Im[H'/H] = Im[D'/D - N'/N]; two-sided pairs get the chain-rule sign
-flip on the backward branch.  At frequencies where the response itself
-vanishes (a differentiator at w = 0, or an optimally placed Nyquist
-zero) the formula degenerates, and the sample is re-evaluated a
-one-sided 1e-6 off the zero, where the limit is finite because the
-singular part of H'/H at a simple zero is purely real.
-
-`evaluate_response` returns a `ResponseTable`: one read-only array per
-column (omega, complex value, magnitude in dB, unwrapped phase, group
-delay), computed from one phase matrix per coefficient length; the
-matrices are cached per grid.  `flatness_report` probes |H|^2 with
-central-difference stencils around w = 0 and evaluates each distinct
-|w| of the stencils once.
+Every response quantity reads one exact derivative series H, dH/dw,
+d^2H/dw^2, ... on a grid.  A coefficient polynomial P(w) = sum_m p_m
+e^{-jwm} has P^(r)(w) = sum_m (-jm)^r p_m e^{-jwm}, evaluated from the
+grid's cached phase matrices, and the derivatives of H = B/A follow by
+Leibniz's rule on A H = B; a two-sided pair adds its backward half at
+-w with the chain-rule sign (-1)^r.  The group delay is -Im[H'/H].  At
+a zero of order k (a differentiator at w = 0, an optimally placed
+Nyquist zero) it is the exact limit -Im[H^(k+1) / ((k+1) H^(k))]: each
+H^(r), r < k, is within rounding of 0 or has a zero within 1e-9 rad of
+the sample.  The orders at the zeros of a grid are drawn on a grid of
+their own, so a zero's delay does not depend on the grid it sits on.
+`flatness_report` gives the exact derivatives of |H|^2 = H conj(H) at
+w = 0.  `evaluate_response` returns a `ResponseTable`: one read-only
+array per column.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -31,7 +31,9 @@ import scipy.signal
 from .design import LdeCoefficients, NonCausalPair
 
 DB_FLOOR = -300.0
-_RESPONSE_EPS = 1e-12
+_ZERO_TOL = 1e-10  # of the l1 mass: an alternating coefficient sum below it is a zero
+_ROUNDING = 32 * float(np.finfo(float).eps)  # times n and the l1 mass: an n-term sum's rounding
+_ZERO_RADIUS = 1e-9  # rad: a sample this close to a zero of H^(r) is at it
 _PHASE_CACHE_ELEMENTS = 8192
 
 
@@ -62,62 +64,92 @@ def _cached_phase_matrix(n: int, omega_bytes: bytes) -> np.ndarray:
     return phase
 
 
-def _lde_phases(lde: LdeCoefficients, omega: np.ndarray):
-    """Phase matrices for (b, a); one matrix serves both when their
-    lengths agree."""
+def _lde_series(lde: LdeCoefficients, omega: np.ndarray):
+    """Yield (d^r H/dw^r, [A, A', ..., A^(r)]) on the grid for r = 0, 1,
+    2, ...; the list of denominator derivatives grows in place."""
     pa = _phase_matrix(len(lde.a), omega)
     pb = pa if len(lde.b) == len(lde.a) else _phase_matrix(len(lde.b), omega)
-    return pb, pa
+    den = [pa @ lde.a]
+    series = [(pb @ lde.b) / den[0]]
+    yield series[0], den
+    wb, wa = lde.b, lde.a
+    jmb, jma = -1j * np.arange(len(wb)), -1j * np.arange(len(wa))
+    for r in itertools.count(1):
+        wb, wa = wb * jmb, wa * jma  # (-jm)^r p_m
+        den.append(pa @ wa)
+        # Leibniz on A H = B: A H^(r) = B^(r) - sum_{i>=1} C(r, i) A^(i) H^(r-i)
+        acc = pb @ wb
+        for i in range(1, r + 1):
+            acc = acc - math.comb(r, i) * den[i] * series[r - i]
+        series.append(acc / den[0])
+        yield series[r], den
 
 
-def _poly_on_circle(coef: np.ndarray, phase: np.ndarray):
-    """Return (P(e^{jw}), P'(w)) from the coefficient's phase matrix."""
-    return phase @ coef, phase @ (-1j * np.arange(len(coef)) * coef)
-
-
-def _response(filt, omega: np.ndarray) -> np.ndarray:
-    """H on the grid for an LDE or a pair."""
-    if isinstance(filt, NonCausalPair):
-        return _response(filt.forward, omega) + _response(filt.backward, -omega)
-    pb, pa = _lde_phases(filt, omega)
-    return (pb @ filt.b) / (pa @ filt.a)
-
-
-def _response_parts(filt, omega: np.ndarray):
-    """Return (H, dH/domega) on the grid for an LDE or a pair."""
-    if isinstance(filt, NonCausalPair):
-        hf, df = _response_parts(filt.forward, omega)
-        hb, db = _response_parts(filt.backward, -omega)
-        return hf + hb, df - db
-    pb, pa = _lde_phases(filt, omega)
-    num, dnum = _poly_on_circle(filt.b, pb)
-    den, dden = _poly_on_circle(filt.a, pa)
-    h = num / den
-    dh = (dnum * den - num * dden) / (den * den)
-    return h, dh
+def _derivative_series(filt, omega: np.ndarray):
+    """Yield (d^r H/dw^r, denominator derivatives per half) for an LDE or
+    a pair; a pair adds its backward half at -w with the sign (-1)^r."""
+    if not isinstance(filt, NonCausalPair):
+        return ((h, (den,)) for h, den in _lde_series(filt, omega))
+    halves = zip(_lde_series(filt.forward, omega), _lde_series(filt.backward, -omega))
+    return ((hf - hb if r % 2 else hf + hb, (den_f, den_b))
+            for r, ((hf, den_f), (hb, den_b)) in enumerate(halves))
 
 
 def frequency_response(filt, omega) -> np.ndarray:
     """Complex H(e^{jw}); for pairs, forward(w) + backward(-w)."""
-    return _response(filt, np.atleast_1d(np.asarray(omega, dtype=float)))
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    return next(_derivative_series(filt, omega))[0]
 
 
-def _group_delay(filt, omega: np.ndarray, h: np.ndarray, dh: np.ndarray) -> np.ndarray:
-    """Group delay from (H, dH/domega) already evaluated on the grid."""
-    gd = -np.imag(dh / np.where(np.abs(h) < _RESPONSE_EPS, 1.0, h))
-    bad = np.abs(h) < _RESPONSE_EPS
-    if np.any(bad):
-        shifted = omega[bad] + np.where(omega[bad] < math.pi / 2, 1e-6, -1e-6)
-        h2, dh2 = _response_parts(filt, shifted)
-        gd[bad] = -np.imag(dh2 / h2)
-    return gd
+def _value_and_delay(filt, omega: np.ndarray):
+    """H and the group delay -Im[H'/H] on the grid.  At a zero of order
+    k >= 1, H'/H = k/dw + H^(k+1) / ((k+1) H^(k)) + O(dw) and k/dw is
+    real, so the delay is -Im[H^(k+1) / ((k+1) H^(k))].  The orders at
+    the zeros are drawn on a grid of the zeros alone until each k is
+    known; a zero where every order up to the numerator's degree counts
+    as one keeps -Im[H'/H]."""
+    halves = (filt.forward, filt.backward) if isinstance(filt, NonCausalPair) else (filt,)
+    series = _derivative_series(filt, omega)
+    (h, dens), (d, _) = next(series), next(series)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gd = -np.imag(d / h)
+    zero = ~_nonzero(halves, dens, [h, d])
+    if zero.any():
+        series = _derivative_series(filt, omega[zero])
+        (hz, dens), (dz, _) = next(series), next(series)
+        hs, at_zero, pending = [hz, dz], gd[zero], np.ones(hz.size, dtype=bool)
+        for r in range(2, 2 + sum(max(len(f.b), len(f.a)) for f in halves)):
+            hs.append(next(series)[0])
+            found = pending & _nonzero(halves, dens, hs)
+            at_zero[found] = -np.imag(hs[r][found] / hs[r - 1][found]) / r
+            pending &= ~found
+            if not pending.any():
+                break
+        gd[zero] = at_zero
+    return h, gd
+
+
+def _nonzero(halves, dens, hs) -> np.ndarray:
+    """Whether H^(r), the order before the last in hs, is no zero where
+    every lower order is one: it is above its rounding floor and has no
+    zero within _ZERO_RADIUS, |H^(r)| > _ZERO_RADIUS |H^(r+1)|.  Per half,
+    A H^(r) = B^(r) - sum_{i>=1} C(r, i) A^(i) H^(r-i); rounding leaves up
+    to _ROUNDING n sum_m m^r |b_m| in B^(r), an n-term sum, and the lower
+    orders of H carry what it left in them."""
+    r = len(hs) - 2
+    floor = 0.0
+    for f, den in zip(halves, dens):
+        acc = _ROUNDING * len(f.b) * float(np.abs(f.b) @ np.arange(len(f.b)) ** r)
+        for i in range(1, r + 1):
+            acc = acc + math.comb(r, i) * np.abs(den[i] * hs[r - i])
+        floor = floor + acc / np.abs(den[0])
+    return np.abs(hs[r]) > np.maximum(floor, _ZERO_RADIUS * np.abs(hs[r + 1]))
 
 
 def group_delay(filt, omega) -> np.ndarray:
-    """Analytic -d(arg H)/dw in samples, with one-sided evaluation
-    wherever |H| < 1e-12."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    return _group_delay(filt, omega, *_response_parts(filt, omega))
+    """Analytic -d(arg H)/dw in samples, with the exact limit at zeros
+    of the response."""
+    return _value_and_delay(filt, np.atleast_1d(np.asarray(omega, dtype=float)))[1]
 
 
 def evaluate_response(filt, omega_grid) -> ResponseTable:
@@ -129,12 +161,12 @@ def evaluate_response(filt, omega_grid) -> ResponseTable:
         raise ValueError("omega grid must be finite")
     if omega.size and (omega.min() < 0.0 or omega.max() > math.pi + 1e-12):
         raise ValueError("omega grid must lie within [0, pi]")
-    h, dh = _response_parts(filt, omega)
+    h, gd = _value_and_delay(filt, omega)
     mag = np.abs(h)
     with np.errstate(divide="ignore"):
         mdb = np.maximum(20.0 * np.log10(np.where(mag > 0, mag, np.nan)), DB_FLOOR)
     mdb = np.where(np.isnan(mdb), DB_FLOOR, mdb)
-    columns = (omega, h, mdb, np.unwrap(np.angle(h)), _group_delay(filt, omega, h, dh))
+    columns = (omega, h, mdb, np.unwrap(np.angle(h)), gd)
     for col in columns:
         col.flags.writeable = False
     return ResponseTable(*columns)
@@ -161,39 +193,20 @@ def write_response_csv(table: ResponseTable, out, flatness=None) -> None:
             emit(f)
 
 
-def _central_derivative(f, order: int, h: float) -> float:
-    # symmetric binomial stencil, O(h^2) accurate
-    acc = 0.0
-    for k in range(order + 1):
-        offset = (order / 2.0 - k) * h
-        acc += (-1.0) ** k * math.comb(order, k) * f(offset)
-    return acc / h**order
-
-
-def flatness_report(filt, max_order: int = 3, step: float = 1e-3) -> np.ndarray:
-    """Richardson-extrapolated central-difference magnitudes of the
-    first max_order derivatives of |H(w)|^2 at w = 0.  |H|^2 is even, so
-    each distinct |w| of the stencils is evaluated once, as a
-    single-point response."""
+def flatness_report(filt, max_order: int = 3) -> np.ndarray:
+    """Magnitudes of the first max_order derivatives of |H(w)|^2 at
+    w = 0, exact from the derivative series by Leibniz's rule on
+    H conj(H).  At w = 0 each H^(i) lies on the axis j^i R, so every
+    product of an odd order is imaginary and odd orders come out 0."""
     if (isinstance(max_order, bool) or not isinstance(max_order, numbers.Integral)
             or not 1 <= max_order <= 6):
         raise ValueError(f"max_order must be an integer in 1..6, got {max_order!r}")
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be finite and > 0, got {step!r}")
-    seen: dict[float, float] = {}
-
-    def g(w):
-        w = abs(w)
-        if w not in seen:
-            seen[w] = float(np.abs(frequency_response(filt, w))[0] ** 2)
-        return seen[w]
-
-    out = np.empty(max_order)
-    for order in range(1, max_order + 1):
-        d_h = _central_derivative(g, order, step)
-        d_h2 = _central_derivative(g, order, step / 2.0)
-        out[order - 1] = abs((4.0 * d_h2 - d_h) / 3.0)
-    return out
+    series = itertools.islice(_derivative_series(filt, np.zeros(1)), max_order + 1)
+    h = [complex(value[0]) for value, _ in series]
+    return np.array([
+        abs(sum(math.comb(r, i) * h[i] * h[r - i].conjugate() for i in range(r + 1)).real)
+        for r in range(1, max_order + 1)
+    ])
 
 
 def is_flat(filt, max_order: int = 3, rel_tol: float = 1e-4) -> bool:
@@ -211,9 +224,9 @@ def nyquist_gain(filt) -> float:
 
 def zero_at_minus_one(lde: LdeCoefficients) -> bool:
     """True when the numerator has a zero at z = -1 (alternating sum
-    below 1e-10 of the coefficient l1 mass)."""
+    below _ZERO_TOL of the coefficient l1 mass)."""
     alt = float(np.sum(lde.b * (-1.0) ** np.arange(len(lde.b))))
-    return abs(alt) < 1e-10 * float(np.sum(np.abs(lde.b)))
+    return abs(alt) < _ZERO_TOL * float(np.sum(np.abs(lde.b)))
 
 
 def white_noise_gain(lde: LdeCoefficients, tolerance: float = 1e-12) -> float:

@@ -12,7 +12,7 @@ from fadefilt import acceptance, cli
 
 # SHA-256 of the `fadefilt selftest` report; a change to any printed
 # figure must re-baseline this on purpose
-SELFTEST_SHA256 = "b8cb9c397ceaab15d1d97fc3c05728532aa5224b09f784eb4a270114b9b4d7e5"
+SELFTEST_SHA256 = "127273fbebf61ce23838bd1c6b60d4f9abf175507f320652bf9351738d4cdb89"
 
 _IDS = [f"{i:02d}-{name}" for i, (name, _) in enumerate(acceptance.CRITERIA, start=1)]
 

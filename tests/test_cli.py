@@ -92,6 +92,15 @@ def test_design_flag_validation(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", [["--q", "inf"], ["--q", "nan"], ["--T", "nan"], ["--T", "inf"]])
+def test_design_rejects_non_finite_values(capsys, flag):
+    argv = ["design", "--B", "2", "--pole", "0.5", "--format", "csv"] + flag
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
 def test_design_noncausal_pair(capsys):
     code = main(["design", "--B", "2", "--D", "1", "--pole", "0.5",
                  "--causality", "noncausal"])
@@ -150,6 +159,18 @@ def test_response_flag_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_response_group_delay_at_a_differentiator_zero_is_the_design_delay(capsys):
+    # omega = 0 is a zero of this differentiator's response; its delay
+    # there once read -6.06e11
+    q = 3.91556
+    assert main(["response", "--B", "4", "--D", "1", "--kappa", "2", "--pole", "0.7",
+                 "--q", str(q), "--points", "5"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    omega, _, _, delay = (float(v) for v in rows[0].split(","))
+    assert omega == 0.0
+    assert abs(delay - q) <= 1e-4
+
+
 @pytest.mark.parametrize("flatness", [False, True], ids=["plain", "flatness"])
 @pytest.mark.parametrize("design_args", [
     ["--q", "2.5"],
@@ -181,6 +202,18 @@ def test_filter_csv_constant(tmp_path):
                  "--out", str(dst), "--axis", "rows"]) == 2
     assert main(["filter", "--coeff", str(coeff), "--input", str(src),
                  "--out", str(tmp_path / "out.pgm")]) == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_filter_csv_rejects_non_finite_samples(tmp_path, capsys, bad):
+    coeff = design_file(tmp_path)
+    src = tmp_path / "in.csv"
+    src.write_text(f"1.0\n2.0\n{bad}\n3.0\n")
+    dst = tmp_path / "out.csv"
+    assert main(["filter", "--coeff", str(coeff), "--input", str(src),
+                 "--out", str(dst)]) == 2
+    assert "line 3 has a non-finite sample" in capsys.readouterr().err
+    assert not dst.exists()
 
 
 def test_filter_pgm_rows(tmp_path):
@@ -315,6 +348,17 @@ def test_flow_pgm_directory_input(tmp_path):
     assert manifest["frames_in"] == 4
     assert main(["flow", "--frames", str(tmp_path / "nope.csv"),
                  "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("flag", [["--det-threshold", "nan"], ["--t-space", "inf"],
+                                  ["--t-time", "nan"]])
+def test_flow_rejects_non_finite_settings(tmp_path, capsys, flag):
+    src = tmp_path / "frames.f32"
+    write_float_stack(src, np.full((6, 8, 8), 0.5))
+    out = tmp_path / "run"
+    assert main(["flow", "--frames", str(src), "--out", str(out)] + flag) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("q", ["-2", "4.5"])

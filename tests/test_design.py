@@ -167,6 +167,14 @@ def test_design_validation():
         FilterDesign(2, 0, WeightSpec(-1.0, causality=Causality.TWO_SIDED), delay=1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_design_rejects_non_finite_delay_and_sample_period(bad):
+    with pytest.raises(ValueError, match="delay must be finite"):
+        FilterDesign(2, 0, WeightSpec(-1.0), delay=bad)
+    with pytest.raises(ValueError, match="sample_period must be finite"):
+        FilterDesign(2, 0, WeightSpec(-1.0), sample_period=bad)
+
+
 def test_sample_period_scales_differentiator():
     base = derive_causal_lde(causal_design(derivative=1, q=1.0, T=1.0))
     fast = derive_causal_lde(causal_design(derivative=1, q=1.0, T=0.25))

@@ -182,6 +182,14 @@ def test_signal_csv_skips_comments_and_blanks(tmp_path):
     assert np.array_equal(read_signal_csv(path), [1.5, 2.5])
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_signal_csv_rejects_non_finite_samples_by_line(tmp_path, bad):
+    path = tmp_path / "sig.csv"
+    path.write_text(f"# header\n1.5\n\n{bad}\n2.5\n")
+    with pytest.raises(ValueError, match="line 4 has a non-finite sample"):
+        read_signal_csv(path)
+
+
 def test_coefficients_json_round_trip_single(tmp_path):
     info = {"B": 2, "D": 0, "kappa": 0, "sigma": -0.5, "q": 1.0, "causality": "causal"}
     path = tmp_path / "c.json"

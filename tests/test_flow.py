@@ -41,6 +41,13 @@ def test_config_validation():
         FlowConfig(smoothing_pole=0.0)
 
 
+@pytest.mark.parametrize("field", ["det_threshold", "t_space", "t_time"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_rejects_non_finite_settings(field, bad):
+    with pytest.raises(ValueError, match="finite"):
+        FlowConfig(**{field: bad})
+
+
 @pytest.mark.parametrize("q", [-2, -1.0, 4.5, 5.5, 0.25, math.nan, math.inf])
 def test_config_rejects_temporal_q_that_is_not_a_whole_frame_delay(q):
     # a negative delay mislabels frames; round() would put I_z half a
