@@ -13,7 +13,8 @@ are not explained by that motion:
 3. the five products IxIx, IxIy, IxIz, IyIy, IyIz, held as one
    (5, H, W) stack in that order, smoothed separably in x and y
    (two-sided single-pole smoother) and in time (causal single-pole
-   smoother), one shared pole for all three axes;
+   smoother), one shared pole for all three axes; the y pass steps
+   both halves of all five planes down the rows together;
 4. per-pixel 2x2 solve for (vx, vy); pixels with a near-singular
    structure tensor are marked invalid and carry zero flow;
 5. disparity dJ: norm of the raw spatiotemporal products minus the
@@ -40,7 +41,9 @@ import numpy as np
 
 from .closed_form import ClosedForm, closed_form_coefficients
 from .design import FilterDesign, LdeCoefficients, NonCausalPair, derive_causal_lde
-from .runtime import Axis, FrameFilter, filter_image_separable, filter_time_stack
+from .runtime import (
+    Axis, FrameFilter, _stacked_column_pass, filter_image_separable, filter_time_stack,
+)
 from .weights import Causality, WeightSpec
 
 
@@ -56,8 +59,10 @@ class FlowConfig:
     t_time: float = 1.0
 
     def __post_init__(self):
-        if not (self.spatial_sigma < 0.0 and self.temporal_sigma < 0.0):
-            raise ValueError("sigmas must be < 0")
+        for name in ("spatial_sigma", "temporal_sigma"):
+            sigma = getattr(self, name)
+            if not (math.isfinite(sigma) and sigma < 0.0):
+                raise ValueError(f"{name} must be finite and < 0, got {sigma}")
         if not (0.0 < self.smoothing_pole < 1.0):
             raise ValueError("smoothing_pole must lie in (0, 1)")
         if not (math.isfinite(self.det_threshold) and self.det_threshold >= 0.0):
@@ -175,6 +180,11 @@ class _FlowEngine:
     into its buffer with out= ufuncs, in the floating-point order of the
     standalone stage functions, so results match them bit for bit.
 
+    The (H, 10, W) workspace takes product k's row pass in slot k; the
+    stacked column pass smooths slots 0-4 by way of slots 5-9, and the
+    temporal smoother writes into the dead slots 5-9, which the solve
+    reads as a (5, H, W) view.
+
     The temporal product smoother starts from zero state.  A shared
     start-up attenuation on all five products cancels in the flow solve
     (both the normal equations and the determinant gate are homogeneous
@@ -186,30 +196,32 @@ class _FlowEngine:
         self.cfg = cfg
         self._differentiator = cfg.spatial_differentiator()
         self._smoother = cfg.spatial_smoother()
-        self._temporal = FrameFilter(cfg.temporal_smoother(), (5,) + shape)
+        height, width = shape
         self._raw = np.empty((5,) + shape)
-        self._spatial = np.empty((5,) + shape)
-        self._smoothed = np.empty((5,) + shape)
+        self._work = np.empty((height, 10, width))
+        self._temporal = FrameFilter(cfg.temporal_smoother(), (height, 5, width))
         self._scratch = np.empty((3,) + shape)
 
     def step(self, frame: np.ndarray, iz: np.ndarray) -> tuple[FlowField, np.ndarray]:
         """Flow and disparity of ``frame``, whose temporal derivative is ``iz``."""
         # ix and iy are dead once the products are formed, so all three
-        # scratch planes then serve the row pass and the solve
-        rows, ix, iy = self._scratch
+        # scratch planes then serve the solve and the disparity
+        ix, iy, _ = self._scratch
         filter_image_separable(self._differentiator, frame, Axis.ROWS, out=ix)
         filter_image_separable(self._differentiator, frame, Axis.COLS, out=iy)
-        raw = self._raw
+        raw, work = self._raw, self._work
         np.multiply(ix, ix, out=raw[0])
         np.multiply(ix, iy, out=raw[1])
         np.multiply(ix, iz, out=raw[2])
         np.multiply(iy, iy, out=raw[3])
         np.multiply(iy, iz, out=raw[4])
-        for product, spatial in zip(raw, self._spatial):
-            filter_image_separable(self._smoother, product, Axis.ROWS, out=rows)
-            filter_image_separable(self._smoother, rows, Axis.COLS, out=spatial)
-        self._temporal.step(self._spatial, out=self._smoothed)
-        field = solve_flow(self._smoothed, self.cfg, scratch=self._scratch)
+        for k, product in enumerate(raw):
+            filter_image_separable(self._smoother, product, Axis.ROWS, out=work[:, k])
+        # the smoother's halves are equal, so one recursion serves both
+        _stacked_column_pass(self._smoother.forward, work)
+        self._temporal.step(work[:, :5], out=work[:, 5:])
+        smoothed = work[:, 5:].transpose(1, 0, 2)
+        field = solve_flow(smoothed, self.cfg, scratch=self._scratch)
         return field, background_disparity(raw, field, scratch=self._scratch)
 
 

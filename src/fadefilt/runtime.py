@@ -4,8 +4,9 @@ per-pixel filtering of frame streams.
 
 All realizations are transposed direct-form II.  The scalar
 FilterState, the scipy.signal.lfilter array path, and the vectorized
-per-pixel frame path perform the same floating-point operations in the
-same order, so their outputs agree bit for bit; tests rely on that.
+step that FrameFilter and the stacked column pass share perform the
+same floating-point operations in the same order, so their outputs
+agree bit for bit; tests rely on that.
 FilterState steps on Python floats, which are IEEE doubles like
 numpy's float64, so it stays bitwise equal to filter_causal at a
 fraction of the cost of stepping on numpy scalars.  Its step is
@@ -112,25 +113,34 @@ class FrameFilter:
 
     def step(self, frame: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Advance every pixel by one frame and return the output frame,
-        written into ``out`` when given (``out`` must not be ``frame``)."""
-        b, a, z, t = self._b, self._a, self.state, self._scratch
-        x = np.asarray(frame, dtype=float)
+        written into ``out`` when given; ``out`` may be ``frame`` itself."""
+        x, t = np.asarray(frame, dtype=float), self._scratch
         if x.shape != t.shape:
             raise ValueError(f"frame shape {x.shape} does not match the filter's {t.shape}")
-        n = z.shape[0]
-        y = np.multiply(x, b[0], out=out)
-        if n == 0:
-            return y
-        y += z[0]
-        # z[i, ...] stays an array view even for 0-d frames, where z[i]
-        # would be a numpy scalar that cannot take out=
-        for i in range(n - 1):
-            np.multiply(x, b[i + 1], out=z[i, ...])
-            z[i, ...] += z[i + 1]
-            z[i, ...] -= np.multiply(y, a[i + 1], out=t)
-        np.multiply(x, b[n], out=z[n - 1, ...])
-        z[n - 1, ...] -= np.multiply(y, a[n], out=t)
-        return y
+        return _tdf2_step(self._b, self._a, self.state, x, out, t)
+
+
+def _tdf2_step(b, a, z, x: np.ndarray, out, t: np.ndarray) -> np.ndarray:
+    """One transposed direct-form II step over every element of ``x``,
+    in lfilter's order: y = b0*x + z[0], z[i] = (z[i+1] + b[i+1]*x) -
+    a[i+1]*y.  ``t`` is scratch shaped like ``x``; ``out`` may be ``x``.
+    Every product with x is taken before y is written (z[i] gains
+    b[i]*x for z[i-1], ``t`` takes b[n]*x), so order 1 costs five
+    ufunc calls."""
+    n = z.shape[0]
+    if n == 0:
+        return np.multiply(x, b[0], out=out)
+    # z[i, ...] stays an array view even for 0-d frames, where z[i]
+    # would be a numpy scalar that cannot take out=
+    for i in range(1, n):
+        z[i, ...] += np.multiply(x, b[i], out=t)
+    np.multiply(x, b[n], out=t)
+    y = np.multiply(x, b[0], out=out)
+    y += z[0]
+    for i in range(n - 1):
+        np.subtract(z[i + 1], np.multiply(y, a[i + 1], out=z[i, ...]), out=z[i, ...])
+    np.subtract(t, np.multiply(y, a[n], out=z[n - 1, ...]), out=z[n - 1, ...])
+    return y
 
 
 def _causal_pass(lde: LdeCoefficients, x: np.ndarray, axis: int, priming: Priming) -> np.ndarray:
@@ -143,6 +153,26 @@ def _causal_pass(lde: LdeCoefficients, x: np.ndarray, axis: int, priming: Primin
         y, _ = scipy.signal.lfilter(lde.b, lde.a, x, axis=axis, zi=hold)
         return y
     return scipy.signal.lfilter(lde.b, lde.a, x, axis=axis)
+
+
+def _stacked_column_pass(half: LdeCoefficients, work: np.ndarray) -> np.ndarray:
+    """Filter the k planes work[:, :k] of an (H, 2k, W) ``work`` in
+    place along axis 0 with the two-sided pair whose halves are both
+    ``half``: per plane, the bytes of filter_image_separable(...,
+    Axis.COLS).  work[:, k:] takes the rows reversed, so step i
+    advances the forward half on row i and the backward half on row
+    H-1-i of every plane at once; work[:, k:] is dead afterwards."""
+    k = work.shape[1] // 2
+    # a ufunc copy: np.copyto cannot tell that the reversed slots are
+    # disjoint and would buffer all k planes first
+    np.positive(work[::-1, :k], out=work[:, k:])
+    b, a = _padded(half)
+    z = work[:1] * half.steady_state.reshape((-1,) + (1,) * (work.ndim - 1))
+    t = np.empty(work.shape[1:])
+    for row in work:
+        _tdf2_step(b, a, z, row, row, t)
+    work[:, :k] += work[::-1, k:]
+    return work[:, :k]
 
 
 def _noncausal_pass(

@@ -361,6 +361,28 @@ def test_flow_rejects_non_finite_settings(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["spatial_sigma", "temporal_sigma"])
+@pytest.mark.parametrize("bad", ["-inf", "nan"])
+def test_flow_rejects_non_finite_sigmas(tmp_path, capsys, name, bad):
+    src = tmp_path / "frames.f32"
+    write_float_stack(src, np.full((6, 8, 8), 0.5))
+    out = tmp_path / "run"
+    flag = f"--{name.replace('_', '-')}={bad}"
+    assert main(["flow", "--frames", str(src), "--out", str(out), flag]) == 2
+    assert f"{name} must be finite and < 0, got {bad}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["--spatial-sigma", "--temporal-sigma"])
+def test_flow_spaced_minus_inf_sigma_exits_2(tmp_path, name):
+    # argparse reads a bare "-inf" as an option, a usage error
+    src = tmp_path / "frames.f32"
+    write_float_stack(src, np.full((6, 8, 8), 0.5))
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--frames", str(src), "--out", str(tmp_path / "run"), name, "-inf"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("q", ["-2", "4.5"])
 def test_flow_rejects_temporal_q_off_the_frame_grid(tmp_path, capsys, q):
     src = tmp_path / "frames.f32"

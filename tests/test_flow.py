@@ -13,7 +13,9 @@ from fadefilt.flow import (
     temporal_gradient,
 )
 from fadefilt.response import group_delay
-from fadefilt.runtime import Axis, FrameFilter, filter_image_separable
+from fadefilt.runtime import (
+    Axis, FrameFilter, Priming, _stacked_column_pass, filter_image_separable,
+)
 from fadefilt.synthetic import add_gaussian_blob, translating_plaid
 
 
@@ -41,8 +43,15 @@ def test_config_validation():
         FlowConfig(smoothing_pole=0.0)
 
 
-@pytest.mark.parametrize("field", ["det_threshold", "t_space", "t_time"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+NON_FINITE_SETTINGS = [
+    (field, bad) for field in ("det_threshold", "t_space", "t_time") for bad in (math.nan, math.inf)
+] + [
+    (field, bad) for field in ("spatial_sigma", "temporal_sigma") for bad in (-math.inf, math.nan)
+]
+
+
+@pytest.mark.parametrize("field, bad", NON_FINITE_SETTINGS,
+                         ids=[f"{bad}-{field}" for field, bad in NON_FINITE_SETTINGS])
 def test_config_rejects_non_finite_settings(field, bad):
     with pytest.raises(ValueError, match="finite"):
         FlowConfig(**{field: bad})
@@ -196,6 +205,20 @@ def test_process_sequence_matches_plane_by_plane_reference_bitwise(cfg):
         assert np.array_equal(r.flow.valid, valid)
         assert np.array_equal(r.disparity, dj)
     assert want[-1][4].any() and np.any(want[-1][2] != 0.0)
+
+
+@pytest.mark.parametrize("pole", [math.exp(-1.0 / 16.0), 0.9])
+@pytest.mark.parametrize("height, width", [(h, w) for h in (1, 2, 37) for w in (1, 53)])
+def test_stacked_column_pass_matches_per_plane_separable_bitwise(pole, height, width):
+    smoother = FlowConfig(smoothing_pole=pole).spatial_smoother()
+    planes = np.random.default_rng([height, width]).standard_normal((5, height, width))
+    work = np.full((height, 10, width), np.nan)
+    work[:, :5] = planes.transpose(1, 0, 2)
+    got = _stacked_column_pass(smoother.forward, work)
+    assert np.shares_memory(got, work)
+    for k, plane in enumerate(planes):
+        want = filter_image_separable(smoother, plane, Axis.COLS, Priming.HOLD_FIRST)
+        assert np.array_equal(got[:, k], want)
 
 
 def test_kept_results_are_not_overwritten_by_later_frames():

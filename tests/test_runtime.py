@@ -130,6 +130,30 @@ def test_frame_path_is_bitwise_identical_to_scalar_path():
             assert np.array_equal(frame_out[:, i, j], pixel)
 
 
+@pytest.mark.parametrize("priming", list(Priming))
+@pytest.mark.parametrize("order", range(10))
+def test_frame_step_in_place_matches_separate_out(order, priming):
+    # the derived order-1 filter has b1 == 0 and never reads x after y
+    if order == 0:
+        lde = LdeCoefficients(b=[2.0], a=[1.0])
+    elif order == 1:
+        lde = LdeCoefficients(b=[0.3, 0.2], a=[1.0, -0.5])
+    else:
+        degree = min(order - 1, 6)
+        lde = _derived(degree, order - 1 - degree)
+    assert len(lde.a) - 1 == order
+    frames = np.random.default_rng(order).standard_normal((12, 3, 5))
+    hold = frames[0] if priming is Priming.HOLD_FIRST else None
+    separate, in_place = FrameFilter(lde, (3, 5), hold=hold), FrameFilter(lde, (3, 5), hold=hold)
+    out = np.empty((3, 5))
+    for frame in frames:
+        want = separate.step(frame, out=out)
+        buffer = frame.copy()
+        got = in_place.step(buffer, out=buffer)
+        assert got is buffer
+        assert want.tobytes() == got.tobytes()
+
+
 def test_priming_invariant_constant_input():
     # after priming with x0, the next output of a smoother is x0
     state = FilterState(SMOOTHER)
