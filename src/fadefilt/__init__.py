@@ -33,11 +33,9 @@ from .response import (
     flatness_report,
     frequency_response,
     group_delay,
-    is_flat,
     nyquist_gain,
     white_noise_gain,
     write_response_csv,
-    zero_at_minus_one,
 )
 from .runtime import (
     Axis,
@@ -56,13 +54,10 @@ from .flow import (
     background_disparity,
     process_sequence,
     solve_flow,
-    spatial_gradients,
     temporal_gradient,
 )
 from .synthetic import (
     add_gaussian_blob,
-    rotate_nearest,
-    rotating_sequence,
     translating_plaid,
 )
 
@@ -101,16 +96,12 @@ __all__ = [
     "frequency_response",
     "group_delay",
     "impulse_response_prefix",
-    "is_flat",
     "nyquist_gain",
     "optimal_q",
     "orthonormal_basis",
     "pole_multiplicity",
     "process_sequence",
-    "rotate_nearest",
-    "rotating_sequence",
     "solve_flow",
-    "spatial_gradients",
     "spectrum_filter_bank",
     "synthesis_weights",
     "temporal_gradient",
@@ -118,5 +109,4 @@ __all__ = [
     "weight_moments",
     "white_noise_gain",
     "write_response_csv",
-    "zero_at_minus_one",
 ]

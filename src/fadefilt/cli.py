@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -26,12 +27,7 @@ import numpy as np
 
 from . import acceptance
 from .closed_form import closed_form_coefficients, closed_form_for, optimal_q
-from .design import (
-    FilterDesign,
-    NonCausalPair,
-    derive_causal_lde,
-    derive_noncausal_pair,
-)
+from .design import FilterDesign, derive_causal_lde, derive_noncausal_pair
 from .fileio import (
     FloatStackReader,
     FloatStackWriter,
@@ -180,7 +176,7 @@ def _coefficients_for(design: FilterDesign, source: str):
     derived = _derive(design)
     if source == "both-compare":
         table = _table_coefficients(design)
-        if isinstance(derived, NonCausalPair):
+        if len(derived.halves) > 1:
             # the two routes may realize the same response with different
             # rational forms, so pairs are compared on a frequency grid
             grid = np.linspace(0.0, math.pi, 129)
@@ -250,10 +246,10 @@ def _cmd_response(args) -> int:
 # --------------------------------------------------------------- filter
 
 def _check_mode(filt, mode: str | None) -> None:
-    if mode == "causal" and isinstance(filt, NonCausalPair):
+    if mode == "causal" and len(filt.halves) != 1:
         raise CliError("--mode causal needs single-filter coefficients, "
                        "got a forward/backward pair")
-    if mode == "noncausal" and not isinstance(filt, NonCausalPair):
+    if mode == "noncausal" and len(filt.halves) != 2:
         raise CliError("--mode noncausal needs a forward/backward pair "
                        "coefficient file")
 
@@ -287,8 +283,7 @@ def _write_plane(out: Path, plane: np.ndarray) -> None:
 def _cmd_filter(args) -> int:
     filt, _ = _load_coefficients(args.coeff)
     _check_mode(filt, args.mode)
-    pair = isinstance(filt, NonCausalPair)
-    priming = Priming.HOLD_FIRST if args.priming == "hold" else Priming.ZERO
+    priming = Priming(args.priming)
     in_path = Path(args.input)
     out_path = Path(args.out)
     ext = in_path.suffix.lower()
@@ -297,8 +292,8 @@ def _cmd_filter(args) -> int:
         if args.axis != "time":
             raise CliError("CSV signals are one-dimensional; use --axis time")
         x = read_signal_csv(in_path)
-        y = (filter_noncausal(filt, x, priming) if pair
-             else filter_causal(filt, x, priming))
+        run = filter_noncausal if len(filt.halves) == 2 else filter_causal
+        y = run(filt, x, priming)
         if out_path.suffix.lower() != ".csv":
             raise CliError("CSV input writes a CSV output")
         write_signal_csv(out_path, y)
@@ -306,21 +301,15 @@ def _cmd_filter(args) -> int:
         if args.axis == "time":
             raise CliError("a single image has no time axis")
         image = read_pgm(in_path)
-        axis = Axis.ROWS if args.axis == "rows" else Axis.COLS
-        _write_plane(out_path, filter_image_separable(filt, image, axis, priming))
+        _write_plane(out_path, filter_image_separable(filt, image, Axis(args.axis), priming))
     elif ext == ".f32":
         if out_path.suffix.lower() != ".f32":
             raise CliError("frame-stack input writes a .f32 output")
-        if args.axis == "time" and pair:
-            raise CliError("frame streams are causal-only; "
-                           "noncausal pairs cannot run along time")
         frames = _FiniteStack(in_path)
         if args.axis == "time":
             planes = filter_time_stack(filt, frames, priming)
         else:
-            axis = Axis.ROWS if args.axis == "rows" else Axis.COLS
-            planes = (filter_image_separable(filt, f, axis, priming)
-                      for f in frames)
+            planes = (filter_image_separable(filt, f, Axis(args.axis), priming) for f in frames)
         with FloatStackWriter(out_path, frames.shape) as out:
             for plane in planes:
                 out.write(plane)
@@ -506,8 +495,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _attach_negative_values(argv) -> list[str]:
+    """argv with values such as -1e-3 or -inf attached to their flag as
+    --sigma=-1e-3: argparse reads only plain decimals like -0.5 as values."""
+    out: list[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and "=" not in flag and _NEGATIVE_VALUE.match(arg):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
     except CliError as exc:

@@ -101,6 +101,11 @@ class LdeCoefficients:
         object.__setattr__(self, "a", a)
 
     @property
+    def halves(self) -> tuple:
+        """(self,): a causal filter is its own single half."""
+        return (self,)
+
+    @property
     def order(self) -> int:
         return max(len(self.b), len(self.a)) - 1
 
@@ -127,8 +132,9 @@ class NonCausalPair:
     backward: LdeCoefficients
 
     @property
-    def sample_period(self) -> float:
-        return self.forward.sample_period
+    def halves(self) -> tuple:
+        """(forward, backward); the second half runs over reversed time."""
+        return (self.forward, self.backward)
 
 
 @dataclass(frozen=True)

@@ -265,13 +265,10 @@ def _lde_doc(lde: LdeCoefficients) -> dict:
 def coefficients_doc(filt, design_info: dict | None = None) -> dict:
     """JSON-ready document for a filter or pair."""
     if isinstance(filt, NonCausalPair):
-        doc = {
-            "forward": _lde_doc(filt.forward),
-            "backward": _lde_doc(filt.backward),
-            "T": float(filt.sample_period),
-        }
+        doc = {"forward": _lde_doc(filt.forward), "backward": _lde_doc(filt.backward)}
     else:
-        doc = dict(_lde_doc(filt), T=float(filt.sample_period))
+        doc = _lde_doc(filt)
+    doc["T"] = float(filt.halves[0].sample_period)
     if design_info is not None:
         doc["design"] = design_info
     return doc
@@ -281,20 +278,17 @@ def coefficients_json(filt, design_info: dict | None = None) -> str:
     return json.dumps(coefficients_doc(filt, design_info), sort_keys=True, indent=2) + "\n"
 
 
+def _lde_from_doc(doc: dict, t: float) -> LdeCoefficients:
+    return LdeCoefficients(b=np.array(doc["b"], float), a=np.array(doc["a"], float),
+                           sample_period=t)
+
+
 def coefficients_from_doc(doc: dict):
     """Inverse of coefficients_doc; returns LdeCoefficients or NonCausalPair."""
     t = float(doc.get("T", 1.0))
     if "forward" in doc:
-        fwd = doc["forward"]
-        bwd = doc["backward"]
-        return NonCausalPair(
-            forward=LdeCoefficients(b=np.array(fwd["b"], float),
-                                    a=np.array(fwd["a"], float), sample_period=t),
-            backward=LdeCoefficients(b=np.array(bwd["b"], float),
-                                     a=np.array(bwd["a"], float), sample_period=t),
-        )
-    return LdeCoefficients(b=np.array(doc["b"], float), a=np.array(doc["a"], float),
-                           sample_period=t)
+        return NonCausalPair(_lde_from_doc(doc["forward"], t), _lde_from_doc(doc["backward"], t))
+    return _lde_from_doc(doc, t)
 
 
 def read_coefficients_json(path):
@@ -308,14 +302,6 @@ def read_coefficients_json(path):
 
 def coefficients_csv(filt) -> str:
     """b row then a row, zero-padded to equal length; four rows for a pair."""
-    if isinstance(filt, NonCausalPair):
-        rows = [filt.forward.b, filt.forward.a, filt.backward.b, filt.backward.a]
-    else:
-        rows = [filt.b, filt.a]
-    width = max(len(r) for r in rows)
-    lines = []
-    for r in rows:
-        padded = np.zeros(width)
-        padded[: len(r)] = r
-        lines.append(",".join(repr(float(v)) for v in padded))
-    return "\n".join(lines) + "\n"
+    rows = [row.tolist() for half in filt.halves for row in (half.b, half.a)]
+    width = max(map(len, rows))
+    return "".join(",".join(map(repr, r + [0.0] * (width - len(r)))) + "\n" for r in rows)

@@ -141,15 +141,6 @@ class FlowResult:
     disparity: np.ndarray
 
 
-def spatial_gradients(image: np.ndarray, cfg: FlowConfig) -> tuple[np.ndarray, np.ndarray]:
-    """I_x along rows and I_y along columns via the non-causal
-    differentiator pair at the spatial pole."""
-    pair = cfg.spatial_differentiator()
-    ix = filter_image_separable(pair, image, Axis.ROWS)
-    iy = filter_image_separable(pair, image, Axis.COLS)
-    return ix, iy
-
-
 def temporal_gradient(
     stream: Iterable[np.ndarray], cfg: FlowConfig
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.signal
 
-from .design import LdeCoefficients, NonCausalPair
+from .design import LdeCoefficients
 
 DB_FLOOR = -300.0
-_ZERO_TOL = 1e-10  # of the l1 mass: an alternating coefficient sum below it is a zero
 _ROUNDING = 32 * float(np.finfo(float).eps)  # times n and the l1 mass: an n-term sum's rounding
 _ZERO_RADIUS = 1e-9  # rad: a sample this close to a zero of H^(r) is at it
 _PHASE_CACHE_ELEMENTS = 8192
@@ -86,11 +85,13 @@ def _lde_series(lde: LdeCoefficients, omega: np.ndarray):
 
 
 def _derivative_series(filt, omega: np.ndarray):
-    """Yield (d^r H/dw^r, denominator derivatives per half) for an LDE or
-    a pair; a pair adds its backward half at -w with the sign (-1)^r."""
-    if not isinstance(filt, NonCausalPair):
-        return ((h, (den,)) for h, den in _lde_series(filt, omega))
-    halves = zip(_lde_series(filt.forward, omega), _lde_series(filt.backward, -omega))
+    """An iterator over (d^r H/dw^r, denominator derivatives per half)
+    for r = 0, 1, 2, ...; a pair's second half runs over reversed time,
+    so it adds its series at -w with the sign (-1)^r."""
+    forward, *backward = filt.halves
+    if not backward:
+        return ((h, (den,)) for h, den in _lde_series(forward, omega))
+    halves = zip(_lde_series(forward, omega), _lde_series(backward[0], -omega))
     return ((hf - hb if r % 2 else hf + hb, (den_f, den_b))
             for r, ((hf, den_f), (hb, den_b)) in enumerate(halves))
 
@@ -108,8 +109,7 @@ def _value_and_delay(filt, omega: np.ndarray):
     the zeros are drawn on a grid of the zeros alone until each k is
     known; a zero where every order up to the numerator's degree counts
     as one keeps -Im[H'/H]."""
-    halves = (filt.forward, filt.backward) if isinstance(filt, NonCausalPair) else (filt,)
-    series = _derivative_series(filt, omega)
+    halves, series = filt.halves, _derivative_series(filt, omega)
     (h, dens), (d, _) = next(series), next(series)
     with np.errstate(divide="ignore", invalid="ignore"):
         gd = -np.imag(d / h)
@@ -209,24 +209,9 @@ def flatness_report(filt, max_order: int = 3) -> np.ndarray:
     ])
 
 
-def is_flat(filt, max_order: int = 3, rel_tol: float = 1e-4) -> bool:
-    """True when the first max_order derivatives of |H|^2 at 0 all fall
-    below rel_tol relative to |H(0)|^2."""
-    g0 = float(np.abs(frequency_response(filt, 0.0))[0] ** 2)
-    mags = flatness_report(filt, max_order)
-    return bool(np.all(mags <= rel_tol * g0)) if g0 > 0 else False
-
-
 def nyquist_gain(filt) -> float:
     """|H| at the Nyquist frequency w = pi."""
     return float(np.abs(frequency_response(filt, math.pi))[0])
-
-
-def zero_at_minus_one(lde: LdeCoefficients) -> bool:
-    """True when the numerator has a zero at z = -1 (alternating sum
-    below _ZERO_TOL of the coefficient l1 mass)."""
-    alt = float(np.sum(lde.b * (-1.0) ** np.arange(len(lde.b))))
-    return abs(alt) < _ZERO_TOL * float(np.sum(np.abs(lde.b)))
 
 
 def white_noise_gain(lde: LdeCoefficients, tolerance: float = 1e-12) -> float:

@@ -1,6 +1,10 @@
 """Filter execution: streaming scalar state, whole-signal passes,
-two-pass non-causal filtering, separable image filtering, and lazy
-per-pixel filtering of frame streams.
+separable image filtering, and lazy per-pixel filtering of frame
+streams.
+
+Every filter is a tuple of causal halves, ``filt.halves``: a two-sided
+pair adds a second half run over reversed time to the one half of a
+causal filter.  Streaming paths take causal filters only.
 
 All realizations are transposed direct-form II.  The scalar
 FilterState, the scipy.signal.lfilter array path, and the vectorized
@@ -78,6 +82,7 @@ class FilterState:
     bound once."""
 
     def __init__(self, coefficients: LdeCoefficients):
+        _require_halves(coefficients, 1, "FilterState")
         self.coefficients = coefficients
         b, a = _padded(coefficients)
         self._z = [0.0] * (len(b) - 1)
@@ -101,6 +106,7 @@ class FrameFilter:
     one independent transposed direct-form II state per pixel."""
 
     def __init__(self, coefficients: LdeCoefficients, shape, hold: np.ndarray | None = None):
+        _require_halves(coefficients, 1, "FrameFilter")
         self._b, self._a = _padded(coefficients)
         n = len(self._b) - 1
         shape = tuple(shape)
@@ -175,32 +181,49 @@ def _stacked_column_pass(half: LdeCoefficients, work: np.ndarray) -> np.ndarray:
     return work[:, :k]
 
 
-def _noncausal_pass(
-    pair: NonCausalPair, x: np.ndarray, axis: int, priming: Priming, out=None
-) -> np.ndarray:
-    fwd = _causal_pass(pair.forward, x, axis, priming)
-    bwd = _causal_pass(pair.backward, np.flip(x, axis=axis), axis, priming)
-    return np.add(fwd, np.flip(bwd, axis=axis), out=fwd if out is None else out)
+def _halves_pass(filt, x: np.ndarray, axis: int, priming: Priming, out=None) -> np.ndarray:
+    """The sum of the causal passes of ``filt``'s halves along ``axis``,
+    the second half run over the flipped axis, written into ``out`` when
+    given and else into the first pass's output."""
+    forward, *backward = filt.halves
+    y = _causal_pass(forward, x, axis, priming)
+    out = y if out is None else out
+    if backward:
+        bwd = _causal_pass(backward[0], np.flip(x, axis=axis), axis, priming)
+        return np.add(y, np.flip(bwd, axis=axis), out=out)
+    if out is not y:
+        np.copyto(out, y)
+    return out
+
+
+def _require_halves(filt, count: int, user: str) -> None:
+    """Raise ValueError unless ``filt`` has ``count`` halves."""
+    kinds = ("a causal filter", "a two-sided pair")
+    if len(filt.halves) != count:
+        raise ValueError(f"{user} needs {kinds[count - 1]}, got {kinds[2 - count]}")
+
+
+def _signal(signal) -> np.ndarray:
+    x = np.asarray(signal, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("signal must be a non-empty 1-D array")
+    return x
 
 
 def filter_causal(
     lde: LdeCoefficients, signal, priming: Priming = Priming.ZERO
 ) -> np.ndarray:
     """Run the LDE left to right over a 1-D signal."""
-    x = np.asarray(signal, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("signal must be a non-empty 1-D array")
-    return _causal_pass(lde, x, 0, priming)
+    _require_halves(lde, 1, "filter_causal")
+    return _halves_pass(lde, _signal(signal), 0, priming)
 
 
 def filter_noncausal(
     pair: NonCausalPair, signal, priming: Priming = Priming.HOLD_FIRST
 ) -> np.ndarray:
     """Forward pass plus reversed backward pass, summed."""
-    x = np.asarray(signal, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("signal must be a non-empty 1-D array")
-    return _noncausal_pass(pair, x, 0, priming)
+    _require_halves(pair, 2, "filter_noncausal")
+    return _halves_pass(pair, _signal(signal), 0, priming)
 
 
 def filter_image_separable(
@@ -212,14 +235,7 @@ def filter_image_separable(
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
         raise ValueError("image must be 2-D")
-    ax = 1 if axis is Axis.ROWS else 0
-    if isinstance(filt, NonCausalPair):
-        return _noncausal_pass(filt, img, ax, priming, out)
-    y = _causal_pass(filt, img, ax, priming)
-    if out is None:
-        return y
-    np.copyto(out, y)
-    return out
+    return _halves_pass(filt, img, 1 if axis is Axis.ROWS else 0, priming, out)
 
 
 def filter_time_stack(
@@ -231,8 +247,7 @@ def filter_time_stack(
     Frame streams are causal only; use the image path for two-sided
     spatial work.  A frame shaped unlike frame 0 raises ValueError
     naming its index and both shapes."""
-    if isinstance(lde, NonCausalPair):
-        raise ValueError("frame streams are causal-only")
+    _require_halves(lde, 1, "a frame stream")
     ff = None
     for n, frame in enumerate(frames):
         frame = np.asarray(frame, dtype=float)

@@ -1,6 +1,5 @@
 """Synthetic test sequences with known ground truth: translating
-sinusoidal plaids, injected Gaussian blobs, and nearest-neighbor
-rotation for slowly spinning backgrounds."""
+sinusoidal plaids and injected Gaussian blobs."""
 
 from __future__ import annotations
 
@@ -52,28 +51,3 @@ def add_gaussian_blob(
         r2 = (x - cx) ** 2 + (y - cy) ** 2
         out[n] = np.clip(frames[n] + amplitude * np.exp(-r2 / sig2), 0.0, 1.0)
     return out
-
-
-def rotate_nearest(image: np.ndarray, angle: float, center=None) -> np.ndarray:
-    """Rotate ``image`` by ``angle`` radians (counterclockwise in x-right,
-    y-down pixel coordinates) about ``center`` using nearest-neighbor
-    resampling; source coordinates are clamped to the image."""
-    img = np.asarray(image, dtype=float)
-    h, w = img.shape
-    if center is None:
-        center = ((w - 1) / 2.0, (h - 1) / 2.0)
-    cx, cy = center
-    y, x = np.mgrid[0:h, 0:w].astype(float)
-    dx, dy = x - cx, y - cy
-    c, s = np.cos(angle), np.sin(angle)
-    # inverse map: rotate destination coords by -angle
-    sx = np.rint(cx + c * dx + s * dy).astype(int)
-    sy = np.rint(cy - s * dx + c * dy).astype(int)
-    np.clip(sx, 0, w - 1, out=sx)
-    np.clip(sy, 0, h - 1, out=sy)
-    return img[sy, sx]
-
-
-def rotating_sequence(image: np.ndarray, n_frames: int, rate: float) -> np.ndarray:
-    """Stack of ``image`` rotated by rate*n radians at frame n."""
-    return np.stack([rotate_nearest(image, rate * n) for n in range(n_frames)])

@@ -294,6 +294,21 @@ def test_filter_mode_checks(tmp_path):
                  "--out", str(tmp_path / "out.f32")]) == 2
 
 
+def test_filter_rejects_a_pair_along_time_without_leaving_files(tmp_path, capsys):
+    pair = tmp_path / "pair.json"
+    assert main(["design", "--B", "2", "--pole", "0.5", "--causality", "noncausal",
+                 "--out", str(pair)]) == 0
+    stack = tmp_path / "x.f32"
+    write_float_stack(stack, np.zeros((6, 4, 4)))
+    out = tmp_path / "y.f32"
+    capsys.readouterr()
+    assert main(["filter", "--coeff", str(pair), "--input", str(stack), "--out", str(out),
+                 "--axis", "time"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "causal" in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.json", "x.f32", "x.f32.json"]
+
+
 # ------------------------------------------------------------------ flow
 
 def test_flow_run_and_manifest(tmp_path):
@@ -374,12 +389,47 @@ def test_flow_rejects_non_finite_sigmas(tmp_path, capsys, name, bad):
 
 
 @pytest.mark.parametrize("name", ["--spatial-sigma", "--temporal-sigma"])
-def test_flow_spaced_minus_inf_sigma_exits_2(tmp_path, name):
-    # argparse reads a bare "-inf" as an option, a usage error
+def test_flow_spaced_minus_inf_sigma_exits_2(tmp_path, capsys, name):
+    # a bare "-inf" after the flag is its value and reaches FlowConfig
     src = tmp_path / "frames.f32"
     write_float_stack(src, np.full((6, 8, 8), 0.5))
+    out = tmp_path / "run"
+    assert main(["flow", "--frames", str(src), "--out", str(out), name, "-inf"]) == 2
+    field = name[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {field} must be finite and < 0, got -inf\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1e-1", "-1E-1", "-.1", "-0.1"])
+def test_design_reads_negative_values_after_a_space(capsys, value):
+    assert main(["design", "--B", "2", "--sigma", value, "--format", "csv"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["design", "--B", "2", "--sigma=-0.1", "--format", "csv"]) == 0
+    assert spaced == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["design", "--B", "2", "--sigma", "-inf"], "error: sigma must be finite and < 0, got -inf"),
+    (["design", "--B", "2", "--sigma", "-nan"], "error: sigma must be finite and < 0, got nan"),
+    (["design", "--B", "2", "--pole", "-1e-3"], "error: --pole must lie in (0, 1), got -0.001"),
+    (["design", "--B", "2", "--pole", "0.5", "--T", "-1e-3"],
+     "error: sample_period must be finite and > 0, got -0.001"),
+])
+def test_negative_values_after_a_space_reach_their_validation(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "--B", "2", "--sigma", "-1x"],
+    ["response", "--B", "2", "--sigma", "-0.5", "--points", "-1e2"],
+    ["response", "--B", "2", "--sigma", "-0.5", "--report-flatness", "-1"],
+])
+def test_bad_negative_values_stay_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
-        main(["flow", "--frames", str(src), "--out", str(tmp_path / "run"), name, "-inf"])
+        main(argv)
     assert exc.value.code == 2
 
 

@@ -245,6 +245,18 @@ def test_time_stack_rejects_pairs():
         list(filter_time_stack(SMOOTHER, mis_shaped))
 
 
+@pytest.mark.parametrize("run, filt, expected", [
+    (lambda f: filter_causal(f, np.zeros(8)), PAIR, "a causal filter"),
+    (lambda f: filter_noncausal(f, np.zeros(8)), SMOOTHER, "a two-sided pair"),
+    (FilterState, PAIR, "a causal filter"),
+    (lambda f: FrameFilter(f, (2, 2)), PAIR, "a causal filter"),
+    (lambda f: next(filter_time_stack(f, np.zeros((3, 2, 2)))), PAIR, "a causal filter"),
+], ids=["filter_causal", "filter_noncausal", "FilterState", "FrameFilter", "filter_time_stack"])
+def test_a_filter_of_the_wrong_kind_is_a_value_error(run, filt, expected):
+    with pytest.raises(ValueError, match=f"needs {expected}, got"):
+        run(filt)
+
+
 @pytest.mark.parametrize("priming", list(Priming))
 def test_time_stack_runs_a_pure_gain(priming):
     gain = LdeCoefficients(b=[2.0], a=[1.0])

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from fadefilt.synthetic import (
-    add_gaussian_blob,
-    rotate_nearest,
-    rotating_sequence,
-    translating_plaid,
-)
+from fadefilt.synthetic import add_gaussian_blob, translating_plaid
 
 
 def test_plaid_shape_and_range():
@@ -46,20 +41,3 @@ def test_blob_does_not_mutate_input():
     before = base.copy()
     add_gaussian_blob(base, (1.0, 0.0), (8.0, 8.0))
     assert np.array_equal(base, before)
-
-
-def test_rotate_identity_and_quarter_turns():
-    rng = np.random.default_rng(5)
-    img = rng.random((21, 21))
-    assert np.array_equal(rotate_nearest(img, 0.0), img)
-    quarter = rotate_nearest(img, np.pi / 2)
-    half = rotate_nearest(quarter, np.pi / 2)
-    direct_half = rotate_nearest(img, np.pi)
-    assert np.array_equal(half, direct_half)
-
-
-def test_rotating_sequence_shapes():
-    img = np.zeros((12, 12))
-    seq = rotating_sequence(img, 7, 0.05)
-    assert seq.shape == (7, 12, 12)
-    assert np.array_equal(seq[0], img)
