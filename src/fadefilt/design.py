@@ -87,10 +87,13 @@ class LdeCoefficients:
     def __post_init__(self):
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
+        for name, values in (("b", b), ("a", a)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite, got {values.tolist()}")
         if a[0] != 1.0:
             raise ValueError("denominator must be monic (a[0] == 1)")
-        if not (self.sample_period > 0.0):
-            raise ValueError("sample_period must be > 0")
+        if not (math.isfinite(self.sample_period) and self.sample_period > 0.0):
+            raise ValueError(f"sample_period must be finite and > 0, got {self.sample_period}")
         if len(a) > 1:
             roots = np.roots(a)
             if roots.size and np.max(np.abs(roots)) >= 1.0:

@@ -292,12 +292,17 @@ def coefficients_from_doc(doc: dict):
 
 
 def read_coefficients_json(path):
-    """Load a coefficient document; returns (filter, design dict or None)."""
+    """Load a coefficient document; returns (filter, design dict or None).
+    A file that cannot be read, or whose coefficients do not make a
+    filter (non-finite, not monic, unstable), raises ValueError naming
+    the file."""
     try:
         doc = json.loads(Path(path).read_text())
         return coefficients_from_doc(doc), doc.get("design")
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
         raise ValueError(f"unreadable coefficient file {path}: {e}") from None
+    except ValueError as e:
+        raise ValueError(f"invalid coefficient file {path}: {e}") from None
 
 
 def coefficients_csv(filt) -> str:

@@ -23,7 +23,13 @@ are not explained by that motion:
 
 process_sequence runs a stream through one engine that builds the
 filters once and reuses one workspace, sized from the first frame, for
-every later frame; every frame must have the first frame's shape.
+every later frame; every frame must have the first frame's shape.  The
+per-pixel stages after the spatial smoothing (the sum of the column
+pass's halves, temporal smoothing, solve and disparity) run together
+on one row strip at a time, small enough to stay in cache; solve_flow
+and background_disparity write each strip's rows through out=, with
+the arithmetic of a whole-frame call, so the bits do not depend on the
+strips.
 
 The temporal differentiator is primed by holding the first frame and
 the product smoother starts from zero state, which shortens but does
@@ -42,7 +48,8 @@ import numpy as np
 from .closed_form import ClosedForm, closed_form_coefficients
 from .design import FilterDesign, LdeCoefficients, NonCausalPair, derive_causal_lde
 from .runtime import (
-    Axis, FrameFilter, _stacked_column_pass, filter_image_separable, filter_time_stack,
+    Axis, _padded, _row_strips, _stacked_column_pass, _tdf2_step, filter_image_separable,
+    filter_time_stack,
 )
 from .weights import Causality, WeightSpec
 
@@ -171,10 +178,16 @@ class _FlowEngine:
     into its buffer with out= ufuncs, in the floating-point order of the
     standalone stage functions, so results match them bit for bit.
 
-    The (H, 10, W) workspace takes product k's row pass in slot k; the
-    stacked column pass smooths slots 0-4 by way of slots 5-9, and the
-    temporal smoother writes into the dead slots 5-9, which the solve
-    reads as a (5, H, W) view.
+    The (H, 10, W) workspace takes product k's row pass in slot k, and
+    the stacked column pass leaves the forward halves in slots 0-4 and
+    the backward halves, rows reversed, in slots 5-9.  The per-pixel
+    tail then runs in row strips (runtime._row_strips): for each strip
+    it sums the two halves into a contiguous (5, rows, W) buffer, steps
+    the temporal smoother there in place, and solves for the flow and
+    the disparity of those rows, writing them into the frame's fresh
+    output arrays.  A strip's planes stay in cache between these
+    stages, where whole-frame planes would stream through memory once
+    per ufunc.
 
     The temporal product smoother starts from zero state.  A shared
     start-up attenuation on all five products cancels in the flow solve
@@ -188,16 +201,19 @@ class _FlowEngine:
         self._differentiator = cfg.spatial_differentiator()
         self._smoother = cfg.spatial_smoother()
         height, width = shape
+        self._gradients = np.empty((2,) + shape)
         self._raw = np.empty((5,) + shape)
         self._work = np.empty((height, 10, width))
-        self._temporal = FrameFilter(cfg.temporal_smoother(), (height, 5, width))
-        self._scratch = np.empty((3,) + shape)
+        self._b, self._a = _padded(cfg.temporal_smoother())
+        self._temporal = np.zeros((len(self._b) - 1, 5) + shape)
+        rows, self._strips = _row_strips(height, width)
+        # the summed, then smoothed, products of one strip, and scratch
+        # for the temporal step and (its first three planes) the solve
+        self._smoothed, self._scratch = np.empty((2, 5, rows, width))
 
     def step(self, frame: np.ndarray, iz: np.ndarray) -> tuple[FlowField, np.ndarray]:
         """Flow and disparity of ``frame``, whose temporal derivative is ``iz``."""
-        # ix and iy are dead once the products are formed, so all three
-        # scratch planes then serve the solve and the disparity
-        ix, iy, _ = self._scratch
+        ix, iy = self._gradients
         filter_image_separable(self._differentiator, frame, Axis.ROWS, out=ix)
         filter_image_separable(self._differentiator, frame, Axis.COLS, out=iy)
         raw, work = self._raw, self._work
@@ -210,14 +226,27 @@ class _FlowEngine:
             filter_image_separable(self._smoother, product, Axis.ROWS, out=work[:, k])
         # the smoother's halves are equal, so one recursion serves both
         _stacked_column_pass(self._smoother.forward, work)
-        self._temporal.step(work[:, :5], out=work[:, 5:])
-        smoothed = work[:, 5:].transpose(1, 0, 2)
-        field = solve_flow(smoothed, self.cfg, scratch=self._scratch)
-        return field, background_disparity(raw, field, scratch=self._scratch)
+        field = FlowField(
+            vx=np.empty(frame.shape), vy=np.empty(frame.shape), valid=np.empty(frame.shape, bool)
+        )
+        dj = np.empty(frame.shape)
+        forward, backward = work[:, :5].transpose(1, 0, 2), work[::-1, 5:].transpose(1, 0, 2)
+        for s in self._strips:
+            rows = s.stop - s.start
+            j, scratch = self._smoothed[:, :rows], self._scratch[:, :rows]
+            np.add(forward[:, s], backward[:, s], out=j)
+            _tdf2_step(self._b, self._a, self._temporal[:, :, s], j, j, scratch)
+            strip = FlowField(vx=field.vx[s], vy=field.vy[s], valid=field.valid[s])
+            solve_flow(j, self.cfg, scratch=scratch[:3], out=strip)
+            background_disparity(raw[:, s], strip, scratch=scratch[:3], out=dj[s])
+        return field, dj
 
 
 def solve_flow(
-    j: np.ndarray, cfg: FlowConfig, scratch: np.ndarray | None = None
+    j: np.ndarray,
+    cfg: FlowConfig,
+    scratch: np.ndarray | None = None,
+    out: FlowField | None = None,
 ) -> FlowField:
     """Per-pixel normal-equation solve [vx; vy] = -inv(J) [Jxz; Jyz];
     pixels with det <= threshold * trace^2 or non-positive trace are
@@ -225,37 +254,44 @@ def solve_flow(
 
     ``j`` stacks the smoothed products as (5, ...) in the order xx, xy,
     xz, yy, yz.  ``scratch``, a (3, ...) float array, is overwritten
-    when given; the returned arrays are always new."""
+    when given.  The result is written into ``out``, a FlowField of
+    float, float and bool arrays shaped like one plane of ``j``, and
+    ``out`` is returned when given; else the returned arrays are new."""
     j = np.asarray(j, dtype=float)
     jxx, jxy, jxz, jyy, jyz = j
     det, trace, t = np.empty((3,) + j.shape[1:]) if scratch is None else scratch
+    vx, vy, valid = (None, None, None) if out is None else (out.vx, out.vy, out.valid)
     np.multiply(jxx, jyy, out=det)
     det -= np.square(jxy, out=t)
     np.add(jxx, jyy, out=trace)
     np.square(trace, out=t)
     t *= cfg.det_threshold
-    valid = np.greater(det, t)
+    valid = np.greater(det, t, out=valid)
     valid &= trace > 0.0
     invalid = ~valid
     np.copyto(det, 1.0, where=invalid)
-    vx = np.multiply(jyy, jxz)
+    vx = np.multiply(jyy, jxz, out=vx)
     vx -= np.multiply(jxy, jyz, out=t)
-    vy = np.multiply(jxx, jyz)
+    vy = np.multiply(jxx, jyz, out=vy)
     vy -= np.multiply(jxy, jxz, out=t)
     for v in (vx, vy):
         np.negative(v, out=v)
         v /= det
         np.copyto(v, 0.0, where=invalid)
-    return FlowField(vx=vx, vy=vy, valid=valid)
+    return FlowField(vx=vx, vy=vy, valid=valid) if out is None else out
 
 
 def background_disparity(
-    raw: np.ndarray, flow: FlowField, scratch: np.ndarray | None = None
+    raw: np.ndarray,
+    flow: FlowField,
+    scratch: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Norm of the raw spatiotemporal products unexplained by the
     estimated flow; zero where the flow is invalid.  ``raw`` stacks the
     unsmoothed products like solve_flow's ``j``; ``scratch``, a (3, ...)
-    float array, is overwritten when given."""
+    float array, is overwritten when given.  The result is written into
+    ``out`` when given."""
     raw = np.asarray(raw, dtype=float)
     rxx, rxy, rxz, ryy, ryz = raw
     ex, ey, t = np.empty((3,) + raw.shape[1:]) if scratch is None else scratch
@@ -266,7 +302,7 @@ def background_disparity(
     np.multiply(rxy, flow.vx, out=ey)
     ey += np.multiply(ryy, flow.vy, out=t)
     np.subtract(ryz, np.negative(ey, out=ey), out=ey)
-    dj = np.hypot(ex, ey)
+    dj = np.hypot(ex, ey, out=out)
     np.copyto(dj, 0.0, where=~flow.valid)
     return dj
 

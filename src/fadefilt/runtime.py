@@ -17,6 +17,12 @@ fraction of the cost of stepping on numpy scalars.  Its step is
 straight-line code generated and compiled once per filter order
 (order 0 included), with the loop's operations in the loop's order.
 
+The per-pixel paths, FrameFilter and the flow engine's tail, run in
+row strips of about 16 K values (``_row_strips``), so that the planes a
+strip touches stay in L2 cache between ufunc calls.  Every operation
+there is elementwise, so a strip's bits are those of the whole-frame
+call.
+
 Priming controls the initial delay-line contents.  Zero starts from
 rest.  HoldFirst loads the analytic steady state the filter would have
 reached if the input had been equal to its first sample forever, which
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -101,29 +108,55 @@ class FilterState:
         self._z[:] = (self.coefficients.steady_state * x0).tolist()
 
 
+# Values in one strip of a per-pixel pass: 16 K float64 values, 128 KB
+# a plane, so a strip's operands stay in a 2 MB L2 cache where whole
+# planes would stream through L3 once per ufunc.
+_STRIP_VALUES = 16384
+
+
+def _row_strips(height: int, width: int) -> tuple[int, list[slice]]:
+    """Rows per strip and the row strips of a per-pixel pass over
+    ``height`` rows of ``width`` values each: ``_STRIP_VALUES // width``
+    rows, at least one and at most all, the last strip partial."""
+    rows = max(1, min(_STRIP_VALUES // max(width, 1), height))
+    return rows, [slice(r, min(r + rows, height)) for r in range(0, height, rows)]
+
+
 class FrameFilter:
     """Vectorized causal filter over a stream of equally shaped frames:
-    one independent transposed direct-form II state per pixel."""
+    one independent transposed direct-form II state per pixel.  A step
+    runs in row strips of axis 0 (see ``_row_strips``), which keeps each
+    strip's operands in cache and needs one strip of scratch; per pixel
+    the operations are those of one whole-frame step."""
 
     def __init__(self, coefficients: LdeCoefficients, shape, hold: np.ndarray | None = None):
         _require_halves(coefficients, 1, "FrameFilter")
         self._b, self._a = _padded(coefficients)
         n = len(self._b) - 1
-        shape = tuple(shape)
+        self._shape = shape = tuple(shape)
         if hold is not None:
             zi = coefficients.steady_state
             self.state = zi.reshape((n,) + (1,) * len(shape)) * np.asarray(hold, float)
         else:
             self.state = np.zeros((n,) + shape)
-        self._scratch = np.empty(shape)
+        if shape:
+            rows, self._strips = _row_strips(shape[0], math.prod(shape[1:]))
+            self._scratch = np.empty((rows,) + shape[1:])
+        else:
+            self._scratch = np.empty(())
 
     def step(self, frame: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Advance every pixel by one frame and return the output frame,
         written into ``out`` when given; ``out`` may be ``frame`` itself."""
         x, t = np.asarray(frame, dtype=float), self._scratch
-        if x.shape != t.shape:
-            raise ValueError(f"frame shape {x.shape} does not match the filter's {t.shape}")
-        return _tdf2_step(self._b, self._a, self.state, x, out, t)
+        if x.shape != self._shape:
+            raise ValueError(f"frame shape {x.shape} does not match the filter's {self._shape}")
+        if not x.ndim:
+            return _tdf2_step(self._b, self._a, self.state, x, out, t)
+        y = np.empty(x.shape) if out is None else out
+        for s in self._strips:
+            _tdf2_step(self._b, self._a, self.state[:, s], x[s], y[s], t[: s.stop - s.start])
+        return y
 
 
 def _tdf2_step(b, a, z, x: np.ndarray, out, t: np.ndarray) -> np.ndarray:
@@ -161,13 +194,14 @@ def _causal_pass(lde: LdeCoefficients, x: np.ndarray, axis: int, priming: Primin
     return scipy.signal.lfilter(lde.b, lde.a, x, axis=axis)
 
 
-def _stacked_column_pass(half: LdeCoefficients, work: np.ndarray) -> np.ndarray:
-    """Filter the k planes work[:, :k] of an (H, 2k, W) ``work`` in
-    place along axis 0 with the two-sided pair whose halves are both
-    ``half``: per plane, the bytes of filter_image_separable(...,
-    Axis.COLS).  work[:, k:] takes the rows reversed, so step i
-    advances the forward half on row i and the backward half on row
-    H-1-i of every plane at once; work[:, k:] is dead afterwards."""
+def _stacked_column_pass(half: LdeCoefficients, work: np.ndarray) -> None:
+    """Run both halves of the two-sided pair whose halves are both
+    ``half`` down axis 0 of the k planes work[:, :k] of an (H, 2k, W)
+    ``work``, in place and left unsummed.  work[:, k:] takes the rows
+    reversed, so step i advances the forward half on row i and the
+    backward half on row H-1-i of every plane at once.  Afterwards row
+    i of plane j's pass, the bytes of filter_image_separable(...,
+    Axis.COLS), is work[i, j] + work[::-1][i, k + j]."""
     k = work.shape[1] // 2
     # a ufunc copy: np.copyto cannot tell that the reversed slots are
     # disjoint and would buffer all k planes first
@@ -177,8 +211,6 @@ def _stacked_column_pass(half: LdeCoefficients, work: np.ndarray) -> np.ndarray:
     t = np.empty(work.shape[1:])
     for row in work:
         _tdf2_step(b, a, z, row, row, t)
-    work[:, :k] += work[::-1, k:]
-    return work[:, :k]
 
 
 def _halves_pass(filt, x: np.ndarray, axis: int, priming: Priming, out=None) -> np.ndarray:

@@ -309,6 +309,31 @@ def test_filter_rejects_a_pair_along_time_without_leaving_files(tmp_path, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.json", "x.f32", "x.f32.json"]
 
 
+NON_FINITE_COEFFICIENTS = {
+    "b": '{"b": [NaN, 0.5], "a": [1.0, -0.5]}',
+    "a": '{"b": [0.5, 0.5], "a": [1.0, NaN]}',
+    "sample_period": '{"b": [0.5], "a": [1.0, -0.5], "T": Infinity}',
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_FINITE_COEFFICIENTS))
+@pytest.mark.parametrize("command", ["filter", "response"])
+def test_non_finite_coefficients_exit_2_naming_file_and_field(tmp_path, capsys, command, field):
+    coeff = tmp_path / "c.json"
+    coeff.write_text(NON_FINITE_COEFFICIENTS[field])
+    signal = tmp_path / "x.csv"
+    write_signal_csv(signal, np.arange(8.0))
+    out = tmp_path / "y.csv"
+    argv = ["filter", "--coeff", str(coeff), "--input", str(signal), "--out", str(out)]
+    if command == "response":
+        argv = ["response", "--coeff", str(coeff), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: invalid coefficient file {coeff}: ")
+    assert f"{field} must be finite" in err[0]
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ flow
 
 def test_flow_run_and_manifest(tmp_path):

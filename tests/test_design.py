@@ -158,6 +158,18 @@ def test_lde_validation():
         lde.b[0] = 9.0  # frozen storage
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lde_rejects_non_finite_coefficients_naming_the_field(bad):
+    with pytest.raises(ValueError, match="^b must be finite"):
+        LdeCoefficients(b=[bad, 0.5], a=[1.0, -0.5])
+    with pytest.raises(ValueError, match="^a must be finite"):
+        LdeCoefficients(b=[0.5, 0.5], a=[1.0, bad])
+    with pytest.raises(ValueError, match="^a must be finite"):
+        LdeCoefficients(b=[0.5], a=[bad])
+    with pytest.raises(ValueError, match="^sample_period must be finite"):
+        LdeCoefficients(b=[0.5], a=[1.0, -0.5], sample_period=bad)
+
+
 def test_design_validation():
     with pytest.raises(ValueError):
         FilterDesign(2, 3, WeightSpec(-1.0))  # derivative above degree

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from fadefilt.design import LdeCoefficients, NonCausalPair
 from fadefilt.flow import (
     FlowConfig,
+    FlowField,
     background_disparity,
     process_sequence,
     solve_flow,
@@ -189,16 +191,43 @@ def reference_flow(frames, cfg):
     return results
 
 
-@pytest.mark.parametrize("cfg", [
-    FlowConfig(),
-    FlowConfig(temporal_q=3, temporal_kappa=0, smoothing_pole=0.9),
-], ids=["default", "q3-kappa0-pole0.9"])
-def test_process_sequence_matches_plane_by_plane_reference_bitwise(cfg):
+def single_strip_stream():
     plaid = translating_plaid(30, 37, 53, (0.4, -0.3))
-    frames = add_gaussian_blob(plaid, (-0.3, 0.2), (30.0, 16.0), radius=5.0)
+    return add_gaussian_blob(plaid, (-0.3, 0.2), (30.0, 16.0), radius=5.0)
+
+
+def multi_strip_stream():
+    """21x1600 frames, which the engine's per-pixel tail runs in three
+    row strips, the last of one row; a noisy plaid and blob with a band
+    of static vertical stripes, whose rank-one structure the
+    determinant gate rejects."""
+    plaid = translating_plaid(24, 21, 1600, (0.4, -0.3))
+    frames = add_gaussian_blob(plaid, (-0.3, 0.2), (800.0, 10.0), radius=5.0)
+    frames += 0.01 * np.random.default_rng(12).standard_normal(frames.shape)
+    frames[:, :, 1300:] = 0.5 + 0.2 * np.sin(0.1 * np.arange(300))
+    return frames
+
+
+# SHA-256 over every result's vx, vy and dj bytes of multi_strip_stream()
+# under the default config, computed with whole-frame per-pixel passes;
+# the strips must reproduce them
+MULTI_STRIP_SHA256 = {
+    "vx": "5781f443de63999810d24b6105c2314c1789989537babb2e9aed3dacf9f5b45c",
+    "vy": "5a866af59d6242cde00a332740f5bc8cb9f50dedcc18d5e8573b299771d608a5",
+    "dj": "0f75e155b60cd17c31602f840b5030a341231ab254cd8b70df670c0564227443",
+}
+
+
+@pytest.mark.parametrize("cfg, stream", [
+    (FlowConfig(), single_strip_stream),
+    (FlowConfig(temporal_q=3, temporal_kappa=0, smoothing_pole=0.9), single_strip_stream),
+    (FlowConfig(), multi_strip_stream),
+], ids=["default", "q3-kappa0-pole0.9", "default-21x1600"])
+def test_process_sequence_matches_plane_by_plane_reference_bitwise(cfg, stream):
+    frames = stream()
     want = reference_flow(frames, cfg)
     got = list(process_sequence(frames, cfg))
-    assert len(got) == len(want) == 30 - cfg.frame_delay
+    assert len(got) == len(want) == len(frames) - cfg.frame_delay
     for r, (index, warmed, vx, vy, valid, dj) in zip(got, want):
         assert (r.frame_index, r.warmed_up) == (index, warmed)
         assert np.array_equal(r.flow.vx, vx)
@@ -208,6 +237,33 @@ def test_process_sequence_matches_plane_by_plane_reference_bitwise(cfg):
     assert want[-1][4].any() and np.any(want[-1][2] != 0.0)
 
 
+def test_multi_strip_outputs_are_pinned():
+    results = list(process_sequence(multi_strip_stream()))
+    planes = {"vx": [r.flow.vx for r in results], "vy": [r.flow.vy for r in results],
+              "dj": [r.disparity for r in results]}
+    got = {k: hashlib.sha256(b"".join(p.tobytes() for p in v)).hexdigest()
+           for k, v in planes.items()}
+    assert got == MULTI_STRIP_SHA256
+    assert 0.5 < results[-1].flow.valid.mean() < 1.0
+
+
+def test_solve_and_disparity_write_into_out_with_the_same_bytes():
+    rng = np.random.default_rng(21)
+    j, raw = rng.standard_normal((2, 5, 6, 7))
+    cfg = FlowConfig(det_threshold=0.1)
+    want = solve_flow(j, cfg)
+    assert want.valid.any() and not want.valid.all()
+    out = FlowField(vx=np.full((6, 7), np.nan), vy=np.full((6, 7), np.nan),
+                    valid=np.zeros((6, 7), bool))
+    got = solve_flow(j, cfg, scratch=np.empty((3, 6, 7)), out=out)
+    assert got is out
+    for name in ("vx", "vy", "valid"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    dj = np.full((6, 7), np.nan)
+    assert background_disparity(raw, want, scratch=np.empty((3, 6, 7)), out=dj) is dj
+    assert dj.tobytes() == background_disparity(raw, want).tobytes()
+
+
 @pytest.mark.parametrize("pole", [math.exp(-1.0 / 16.0), 0.9])
 @pytest.mark.parametrize("height, width", [(h, w) for h in (1, 2, 37) for w in (1, 53)])
 def test_stacked_column_pass_matches_per_plane_separable_bitwise(pole, height, width):
@@ -215,8 +271,9 @@ def test_stacked_column_pass_matches_per_plane_separable_bitwise(pole, height, w
     planes = np.random.default_rng([height, width]).standard_normal((5, height, width))
     work = np.full((height, 10, width), np.nan)
     work[:, :5] = planes.transpose(1, 0, 2)
-    got = _stacked_column_pass(smoother.forward, work)
-    assert np.shares_memory(got, work)
+    _stacked_column_pass(smoother.forward, work)
+    # row i is the forward half on row i plus the backward half on row H-1-i
+    got = work[:, :5] + work[::-1, 5:]
     for k, plane in enumerate(planes):
         want = filter_image_separable(smoother, plane, Axis.COLS, Priming.HOLD_FIRST)
         assert np.array_equal(got[:, k], want)

@@ -17,6 +17,9 @@ from fadefilt.runtime import (
     FilterState,
     FrameFilter,
     Priming,
+    _padded,
+    _row_strips,
+    _tdf2_step,
     filter_causal,
     filter_image_separable,
     filter_noncausal,
@@ -130,9 +133,7 @@ def test_frame_path_is_bitwise_identical_to_scalar_path():
             assert np.array_equal(frame_out[:, i, j], pixel)
 
 
-@pytest.mark.parametrize("priming", list(Priming))
-@pytest.mark.parametrize("order", range(10))
-def test_frame_step_in_place_matches_separate_out(order, priming):
+def _of_order(order):
     # the derived order-1 filter has b1 == 0 and never reads x after y
     if order == 0:
         lde = LdeCoefficients(b=[2.0], a=[1.0])
@@ -142,6 +143,13 @@ def test_frame_step_in_place_matches_separate_out(order, priming):
         degree = min(order - 1, 6)
         lde = _derived(degree, order - 1 - degree)
     assert len(lde.a) - 1 == order
+    return lde
+
+
+@pytest.mark.parametrize("priming", list(Priming))
+@pytest.mark.parametrize("order", range(10))
+def test_frame_step_in_place_matches_separate_out(order, priming):
+    lde = _of_order(order)
     frames = np.random.default_rng(order).standard_normal((12, 3, 5))
     hold = frames[0] if priming is Priming.HOLD_FIRST else None
     separate, in_place = FrameFilter(lde, (3, 5), hold=hold), FrameFilter(lde, (3, 5), hold=hold)
@@ -152,6 +160,34 @@ def test_frame_step_in_place_matches_separate_out(order, priming):
         got = in_place.step(buffer, out=buffer)
         assert got is buffer
         assert want.tobytes() == got.tobytes()
+
+
+# several row strips each, the last one partial
+STRIPPED_SHAPES = [(19, 2048), (40000,), (11, 5, 700)]
+
+
+@pytest.mark.parametrize("shape", STRIPPED_SHAPES, ids=["19x2048", "40000", "11x5x700"])
+@pytest.mark.parametrize("priming", list(Priming))
+@pytest.mark.parametrize("order", [0, 1, 4, 9])
+def test_frame_step_in_strips_matches_one_whole_array_step(order, priming, shape):
+    rows, strips = _row_strips(shape[0], math.prod(shape[1:]))
+    assert len(strips) >= 3 and shape[0] % rows
+    lde = _of_order(order)
+    frames = np.random.default_rng([order, len(shape)]).standard_normal((4,) + shape)
+    if priming is Priming.HOLD_FIRST:
+        hold = frames[0]
+        z = lde.steady_state.reshape((-1,) + (1,) * len(shape)) * hold
+    else:
+        hold, z = None, np.zeros((order,) + shape)
+    b, a = _padded(lde)
+    stepped, in_place = FrameFilter(lde, shape, hold=hold), FrameFilter(lde, shape, hold=hold)
+    for frame in frames:
+        want = _tdf2_step(b, a, z, frame, None, np.empty(shape))
+        assert stepped.step(frame).tobytes() == want.tobytes()
+        buffer = frame.copy()
+        assert in_place.step(buffer, out=buffer) is buffer
+        assert buffer.tobytes() == want.tobytes()
+    assert stepped.state.tobytes() == in_place.state.tobytes() == z.tobytes()
 
 
 def test_priming_invariant_constant_input():
