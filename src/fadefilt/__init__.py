@@ -54,7 +54,6 @@ from .flow import (
     background_disparity,
     process_sequence,
     solve_flow,
-    temporal_gradient,
 )
 from .synthetic import (
     add_gaussian_blob,
@@ -104,7 +103,6 @@ __all__ = [
     "solve_flow",
     "spectrum_filter_bank",
     "synthesis_weights",
-    "temporal_gradient",
     "translating_plaid",
     "weight_moments",
     "white_noise_gain",

@@ -133,12 +133,9 @@ def _design_from_args(args) -> FilterDesign:
 
     if causality is Causality.TWO_SIDED and q != 0.0:
         raise CliError("noncausal designs are zero-phase; --q must be 0")
-    try:
-        weight = WeightSpec(sigma=sigma, kappa=args.kappa, causality=causality)
-        return FilterDesign(degree=args.B, derivative=args.D, weight=weight,
-                            delay=q, sample_period=args.T)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    weight = WeightSpec(sigma=sigma, kappa=args.kappa, causality=causality)
+    return FilterDesign(degree=args.B, derivative=args.D, weight=weight,
+                        delay=q, sample_period=args.T)
 
 
 def _design_info(design: FilterDesign) -> dict:
@@ -156,10 +153,7 @@ def _design_info(design: FilterDesign) -> dict:
 def _table_coefficients(design: FilterDesign):
     if design.degree != 2:
         raise CliError("tabulated closed forms cover degree-2 designs only")
-    try:
-        form = closed_form_for(design.causality, design.kappa, design.derivative)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    form = closed_form_for(design.causality, design.kappa, design.derivative)
     return closed_form_coefficients(form, design.pole, design.delay,
                                     design.sample_period)
 
@@ -213,20 +207,13 @@ def _cmd_design(args) -> int:
 
 # ------------------------------------------------------------- response
 
-def _load_coefficients(path: str):
-    try:
-        return read_coefficients_json(path)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
 def _cmd_response(args) -> int:
     inline = (args.B is not None or args.sigma is not None
               or args.pole is not None)
     if args.coeff and inline:
         raise CliError("give either --coeff or inline design flags, not both")
     if args.coeff:
-        filt, _ = _load_coefficients(args.coeff)
+        filt, _ = read_coefficients_json(args.coeff)
     elif inline:
         filt = _coefficients_for(_design_from_args(args), args.source)
     else:
@@ -281,7 +268,7 @@ def _write_plane(out: Path, plane: np.ndarray) -> None:
 
 
 def _cmd_filter(args) -> int:
-    filt, _ = _load_coefficients(args.coeff)
+    filt, _ = read_coefficients_json(args.coeff)
     _check_mode(filt, args.mode)
     priming = Priming(args.priming)
     in_path = Path(args.input)
@@ -342,10 +329,7 @@ def _open_frames(source: str):
 def _cmd_flow(args) -> int:
     overrides = {name: getattr(args, name) for name in _FLOW_OVERRIDES
                  if getattr(args, name) is not None}
-    try:
-        cfg = FlowConfig(**overrides)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    cfg = FlowConfig(**overrides)
     frames = _open_frames(args.frames)
 
     n_frames = len(frames)

@@ -5,31 +5,29 @@ intensity gradients and then flags pixels whose raw gradient products
 are not explained by that motion:
 
 1. temporal derivative I_z per pixel with the causal B=2, kappa=1, q=4
-   differentiator; input frames are buffered by q, a whole number of
+   differentiator; input frames are delayed by q, a whole number of
    frames, so the other gradients can be computed on the frame the
    estimate refers to;
 2. spatial derivatives I_x, I_y of the delayed frame with the
    non-causal B=2 differentiator along rows and columns;
-3. the five products IxIx, IxIy, IxIz, IyIy, IyIz, held as one
-   (5, H, W) stack in that order, smoothed separably in x and y
-   (two-sided single-pole smoother) and in time (causal single-pole
-   smoother), one shared pole for all three axes; the y pass steps
-   both halves of all five planes down the rows together;
+3. the five products IxIx, IxIy, IxIz, IyIy, IyIz, in that order,
+   smoothed separably in x and y (two-sided single-pole smoother) and
+   in time (causal single-pole smoother), one shared pole for all
+   three axes; the y pass steps both halves of all five planes down
+   the rows together;
 4. per-pixel 2x2 solve for (vx, vy); pixels with a near-singular
    structure tensor are marked invalid and carry zero flow;
 5. disparity dJ: norm of the raw spatiotemporal products minus the
    products predicted from the raw structure tensor and the estimated
    flow.  Large dJ marks independently moving foreground.
 
-process_sequence runs a stream through one engine that builds the
-filters once and reuses one workspace, sized from the first frame, for
-every later frame; every frame must have the first frame's shape.  The
-per-pixel stages after the spatial smoothing (the sum of the column
-pass's halves, temporal smoothing, solve and disparity) run together
-on one row strip at a time, small enough to stay in cache; solve_flow
-and background_disparity write each strip's rows through out=, with
-the arithmetic of a whole-frame call, so the bits do not depend on the
-strips.
+process_sequence checks each frame and feeds it to one engine, built
+on the first frame, that owns the stream: the filters and their state,
+a delay line of the last q frames, into which it copies each frame (so
+a producer may refill one buffer for every frame), and one workspace
+reused for every frame, which must have the first frame's shape.  The
+per-pixel stages run in cache-sized row strips with the bits of
+whole-frame calls; see _FlowEngine.
 
 The temporal differentiator is primed by holding the first frame and
 the product smoother starts from zero state, which shortens but does
@@ -48,8 +46,8 @@ import numpy as np
 from .closed_form import ClosedForm, closed_form_coefficients
 from .design import FilterDesign, LdeCoefficients, NonCausalPair, derive_causal_lde
 from .runtime import (
-    Axis, _padded, _row_strips, _stacked_column_pass, _tdf2_step, filter_image_separable,
-    filter_time_stack,
+    Axis, FrameFilter, _padded, _row_strips, _stacked_column_pass, _tdf2_step,
+    filter_image_separable,
 )
 from .weights import Causality, WeightSpec
 
@@ -148,46 +146,38 @@ class FlowResult:
     disparity: np.ndarray
 
 
-def temporal_gradient(
-    stream: Iterable[np.ndarray], cfg: FlowConfig
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (frame_index, delayed_frame, iz) once the delay buffer has
-    filled; frame_index is the input index of the delayed frame, which
-    both outputs are aligned to."""
-    delay = cfg.frame_delay
-    buffer: list[np.ndarray] = []
-
-    def buffered() -> Iterator[np.ndarray]:
-        for frame in stream:
-            buffer.append(np.asarray(frame, dtype=float))
-            yield buffer[-1]
-
-    gradients = filter_time_stack(cfg.temporal_differentiator(), buffered())
-    for n, iz in enumerate(gradients):
-        if len(buffer) > delay:
-            yield n - delay, buffer.pop(0), iz
+# The five gradient products xx, xy, xz, yy, yz, in their stacked
+# order, as index pairs into the engine's (ix, iy, iz) planes.
+_PRODUCTS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2))
 
 
 class _FlowEngine:
-    """Filters and workspace of one frame stream after the temporal
-    gradient.
+    """Filters, delay line and workspace of one frame stream.
 
-    The spatial differentiator and the two product smoothers are built
-    once, and every intermediate plane is allocated from the first
-    frame's shape and reused for each later frame.  Each stage writes
+    The engine is built on frame 0: the order-4 temporal differentiator
+    is a FrameFilter hold-primed on it, and every plane is allocated
+    from its shape and reused for each later frame.  Each stage writes
     into its buffer with out= ufuncs, in the floating-point order of the
     standalone stage functions, so results match them bit for bit.
 
-    The (H, 10, W) workspace takes product k's row pass in slot k, and
-    the stacked column pass leaves the forward halves in slots 0-4 and
-    the backward halves, rows reversed, in slots 5-9.  The per-pixel
-    tail then runs in row strips (runtime._row_strips): for each strip
-    it sums the two halves into a contiguous (5, rows, W) buffer, steps
-    the temporal smoother there in place, and solves for the flow and
-    the disparity of those rows, writing them into the frame's fresh
-    output arrays.  A strip's planes stay in cache between these
-    stages, where whole-frame planes would stream through memory once
-    per ufunc.
+    The spatial path runs on the frame the temporal derivative refers
+    to, q = frame_delay frames back.  The engine copies each input
+    frame into its own ring of q planes, into the slot of frame n - q
+    once the spatial differentiator has read it, so a producer may
+    refill one buffer for every frame.  With q = 0 the ring is empty
+    and the spatial path reads the input frame.
+
+    Each product is formed in one reused plane and its row pass written
+    to slot k of the (H, 10, W) workspace; the stacked column pass
+    leaves the forward halves in slots 0-4 and the backward halves,
+    rows reversed, in slots 5-9.  The per-pixel tail then runs in row
+    strips (runtime._row_strips): for each strip it sums the two halves
+    into a contiguous (5, rows, W) buffer, steps the temporal smoother
+    there in place, solves for the flow, refills the buffer with the
+    strip's raw products and takes the disparity of those rows, writing
+    into the frame's fresh output arrays.  A strip's planes stay in
+    cache between these stages, where whole-frame planes would stream
+    through memory once per ufunc.
 
     The temporal product smoother starts from zero state.  A shared
     start-up attenuation on all five products cancels in the flow solve
@@ -196,50 +186,66 @@ class _FlowEngine:
     holding the first frame's products, which would lock in values
     computed while the temporal differentiator was still settling."""
 
-    def __init__(self, cfg: FlowConfig, shape: tuple[int, ...]):
+    def __init__(self, cfg: FlowConfig, first_frame: np.ndarray):
         self.cfg = cfg
+        self.shape = shape = first_frame.shape
+        height, width = shape
+        self._iz_filter = FrameFilter(cfg.temporal_differentiator(), shape, hold=first_frame)
         self._differentiator = cfg.spatial_differentiator()
         self._smoother = cfg.spatial_smoother()
-        height, width = shape
-        self._gradients = np.empty((2,) + shape)
-        self._raw = np.empty((5,) + shape)
+        self._frames = 0
+        self._ring = np.empty((cfg.frame_delay,) + shape)
+        self._gradients = np.empty((3,) + shape)
+        self._product = np.empty(shape)
         self._work = np.empty((height, 10, width))
         self._b, self._a = _padded(cfg.temporal_smoother())
         self._temporal = np.zeros((len(self._b) - 1, 5) + shape)
         rows, self._strips = _row_strips(height, width)
-        # the summed, then smoothed, products of one strip, and scratch
-        # for the temporal step and (its first three planes) the solve
-        self._smoothed, self._scratch = np.empty((2, 5, rows, width))
+        # the summed, then smoothed, then raw products of one strip, and
+        # scratch for the temporal step and (its first three planes) the
+        # solve and the disparity
+        self._strip, self._scratch = np.empty((2, 5, rows, width))
 
-    def step(self, frame: np.ndarray, iz: np.ndarray) -> tuple[FlowField, np.ndarray]:
-        """Flow and disparity of ``frame``, whose temporal derivative is ``iz``."""
-        ix, iy = self._gradients
-        filter_image_separable(self._differentiator, frame, Axis.ROWS, out=ix)
-        filter_image_separable(self._differentiator, frame, Axis.COLS, out=iy)
-        raw, work = self._raw, self._work
-        np.multiply(ix, ix, out=raw[0])
-        np.multiply(ix, iy, out=raw[1])
-        np.multiply(ix, iz, out=raw[2])
-        np.multiply(iy, iy, out=raw[3])
-        np.multiply(iy, iz, out=raw[4])
-        for k, product in enumerate(raw):
-            filter_image_separable(self._smoother, product, Axis.ROWS, out=work[:, k])
+    def step(self, frame: np.ndarray) -> FlowResult | None:
+        """Feed the next input frame, a float array of frame 0's shape
+        that the engine only reads; the result for frame n - q, or None
+        while the delay line fills."""
+        n, q = self._frames, self.cfg.frame_delay
+        self._frames += 1
+        ix, iy, iz = g = self._gradients
+        self._iz_filter.step(frame, out=iz)
+        if n < q:
+            self._ring[n] = frame
+            return None
+        delayed = self._ring[n % q] if q else frame
+        filter_image_separable(self._differentiator, delayed, Axis.ROWS, out=ix)
+        filter_image_separable(self._differentiator, delayed, Axis.COLS, out=iy)
+        if q:
+            delayed[...] = frame
+        work = self._work
+        for k, (a, b) in enumerate(_PRODUCTS):
+            np.multiply(g[a], g[b], out=self._product)
+            filter_image_separable(self._smoother, self._product, Axis.ROWS, out=work[:, k])
         # the smoother's halves are equal, so one recursion serves both
         _stacked_column_pass(self._smoother.forward, work)
         field = FlowField(
-            vx=np.empty(frame.shape), vy=np.empty(frame.shape), valid=np.empty(frame.shape, bool)
+            vx=np.empty(self.shape), vy=np.empty(self.shape), valid=np.empty(self.shape, bool)
         )
-        dj = np.empty(frame.shape)
+        dj = np.empty(self.shape)
         forward, backward = work[:, :5].transpose(1, 0, 2), work[::-1, 5:].transpose(1, 0, 2)
         for s in self._strips:
             rows = s.stop - s.start
-            j, scratch = self._smoothed[:, :rows], self._scratch[:, :rows]
+            j, scratch = self._strip[:, :rows], self._scratch[:, :rows]
             np.add(forward[:, s], backward[:, s], out=j)
             _tdf2_step(self._b, self._a, self._temporal[:, :, s], j, j, scratch)
             strip = FlowField(vx=field.vx[s], vy=field.vy[s], valid=field.valid[s])
             solve_flow(j, self.cfg, scratch=scratch[:3], out=strip)
-            background_disparity(raw[:, s], strip, scratch=scratch[:3], out=dj[s])
-        return field, dj
+            for k, (a, b) in enumerate(_PRODUCTS):
+                np.multiply(g[a, s], g[b, s], out=j[k])
+            background_disparity(j, strip, scratch=scratch[:3], out=dj[s])
+        index = n - q
+        return FlowResult(frame_index=index, warmed_up=index >= self.cfg.warmup_frames - q,
+                          flow=field, disparity=dj)
 
 
 def solve_flow(
@@ -312,8 +318,10 @@ def process_sequence(
 ) -> Iterator[FlowResult]:
     """Run the full pipeline over a frame stream, yielding one result
     per aligned frame.  Results with frame_index inside the warm-up
-    span carry warmed_up=False.  Every frame must have the first
-    frame's shape.  Each result owns its arrays.
+    span carry warmed_up=False.  Frame 0 must be 2-D with at least one
+    row and one column, and every later frame must have its shape.
+    Frames are only read, so the stream may reuse one buffer.  Each
+    result owns its arrays.
 
     Non-finite input is not repaired: one NaN or inf sample spreads
     along its row and column through the spatial filters and stays in
@@ -322,11 +330,15 @@ def process_sequence(
     if cfg is None:
         cfg = FlowConfig()
     engine: _FlowEngine | None = None
-    settle = cfg.warmup_frames - cfg.frame_delay
-    for index, frame, iz in temporal_gradient(stream, cfg):
+    for n, frame in enumerate(stream):
+        frame = np.asarray(frame, dtype=float)
         if engine is None:
-            engine = _FlowEngine(cfg, frame.shape)
-        field, dj = engine.step(frame, iz)
-        yield FlowResult(
-            frame_index=index, warmed_up=index >= settle, flow=field, disparity=dj
-        )
+            if frame.ndim != 2 or 0 in frame.shape:
+                raise ValueError(f"frame 0 has shape {frame.shape}, but frames must be "
+                                 "2-D with at least one row and one column")
+            engine = _FlowEngine(cfg, frame)
+        elif frame.shape != engine.shape:
+            raise ValueError(f"frame {n} has shape {frame.shape}, but frame 0 had {engine.shape}")
+        result = engine.step(frame)
+        if result is not None:
+            yield result

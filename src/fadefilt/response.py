@@ -34,6 +34,7 @@ DB_FLOOR = -300.0
 _ROUNDING = 32 * float(np.finfo(float).eps)  # times n and the l1 mass: an n-term sum's rounding
 _ZERO_RADIUS = 1e-9  # rad: a sample this close to a zero of H^(r) is at it
 _PHASE_CACHE_ELEMENTS = 8192
+_WNG_TOLERANCE = 1e-12  # white_noise_gain stops when the tail bound is this share of the sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,11 +215,11 @@ def nyquist_gain(filt) -> float:
     return float(np.abs(frequency_response(filt, math.pi))[0])
 
 
-def white_noise_gain(lde: LdeCoefficients, tolerance: float = 1e-12) -> float:
+def white_noise_gain(lde: LdeCoefficients) -> float:
     """Variance reduction factor sum_m h[m]^2 for unit-variance white
     input.  The impulse response is run in blocks and the sum truncated
     once a geometric envelope bound on the remaining tail drops below
-    tolerance times the partial sum."""
+    _WNG_TOLERANCE times the partial sum."""
     b, a = lde.b, lde.a
     if len(a) > 1:
         roots = np.roots(a)
@@ -243,7 +244,7 @@ def white_noise_gain(lde: LdeCoefficients, tolerance: float = 1e-12) -> float:
             r = (rho**block * ((start + block) / start) ** max(n - 1, 0)) ** 2
         else:
             r = 0.0
-        if r < 1.0 and (e_blk * r / (1.0 - r) if r > 0 else 0.0) <= tolerance * total:
+        if r < 1.0 and (e_blk * r / (1.0 - r) if r > 0 else 0.0) <= _WNG_TOLERANCE * total:
             break
         if start > 5_000_000:
             raise RuntimeError("white_noise_gain failed to converge")

@@ -101,6 +101,14 @@ def test_design_rejects_non_finite_values(capsys, flag):
     assert "must be finite" in captured.err
 
 
+def test_design_table_without_a_closed_form_exits_2(capsys):
+    assert main(["design", "--B", "2", "--pole", "0.5", "--kappa", "2", "--source", "table"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: no tabulated closed form for causality=causal, "
+                            "kappa=2, derivative=0\n")
+
+
 def test_design_noncausal_pair(capsys):
     code = main(["design", "--B", "2", "--D", "1", "--pole", "0.5",
                  "--causality", "noncausal"])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from fadefilt.flow import (
     background_disparity,
     process_sequence,
     solve_flow,
-    temporal_gradient,
 )
 from fadefilt.response import group_delay
 from fadefilt.runtime import (
     Axis, FrameFilter, Priming, _stacked_column_pass, filter_image_separable,
+    filter_time_stack,
 )
 from fadefilt.synthetic import add_gaussian_blob, translating_plaid
 
@@ -105,23 +106,20 @@ def test_spatial_gradients_of_linear_ramp():
     assert np.allclose(iy[interior], -0.003, atol=1e-8)
 
 
-def test_temporal_gradient_alignment_and_slope():
+def test_temporal_differentiator_slope_under_hold_priming():
     cfg = FlowConfig()
     rng = np.random.default_rng(9)
     pattern = rng.random((8, 8))
     frames = [0.1 * t * pattern + 0.2 for t in range(30)]
-    outputs = list(temporal_gradient(iter(frames), cfg))
-    # one output per frame past the delay, tagged with the source index
-    assert len(outputs) == 30 - cfg.frame_delay
-    idx0, delayed0, _ = outputs[0]
-    assert idx0 == 0
-    assert np.array_equal(delayed0, frames[0])
+    gradients = filter_time_stack(cfg.temporal_differentiator(), iter(frames))
     # a per-pixel linear-in-time signal has constant slope; the hold
-    # priming transient keeps decaying past the warm-up boundary
-    for idx, _, iz in outputs:
-        if idx >= cfg.warmup_frames - cfg.frame_delay:
+    # priming transient keeps decaying past the warm-up boundary; iz of
+    # input frame n belongs to the result of frame n - q
+    for n, iz in enumerate(gradients):
+        index = n - cfg.frame_delay
+        if index >= cfg.warmup_frames - cfg.frame_delay:
             assert np.allclose(iz, 0.1 * pattern, atol=2e-4)
-        if idx >= 22:
+        if index >= 22:
             assert np.allclose(iz, 0.1 * pattern, atol=1e-8)
 
 
@@ -296,6 +294,35 @@ def test_mis_shaped_frame_is_rejected_not_broadcast():
     frames[7] = frames[7][:1]
     with pytest.raises(ValueError, match=r"frame 7 has shape \(1, 32\).*\(32, 32\)"):
         list(process_sequence(frames))
+
+
+@pytest.mark.parametrize("shape", [(10, 0, 5), (10, 5, 0), (10, 5), (10, 2, 3, 4)],
+                         ids=["no-rows", "no-columns", "1-D", "3-D"])
+def test_frame_zero_that_is_not_a_non_empty_plane_is_rejected(shape):
+    with pytest.raises(ValueError, match=re.escape(f"frame 0 has shape {shape[1:]}") + ".*2-D"):
+        list(process_sequence(np.ones(shape)))
+
+
+@pytest.mark.parametrize("q", [0, 4])
+def test_producer_that_refills_one_buffer_matches_the_frame_stack(q):
+    cfg = FlowConfig(temporal_q=q)
+    frames = add_gaussian_blob(translating_plaid(24, 48, 64, (0.4, -0.3)),
+                               (-0.3, 0.2), (30.0, 16.0), radius=5.0)
+
+    def refilled():
+        buffer = np.empty(frames.shape[1:])
+        for frame in frames:
+            buffer[...] = frame
+            yield buffer
+
+    want = list(process_sequence(frames, cfg))
+    got = list(process_sequence(refilled(), cfg))
+    assert len(got) == len(want) == len(frames) - q
+    for r, w in zip(got, want):
+        assert r.frame_index == w.frame_index
+        for name in ("vx", "vy"):
+            assert getattr(r.flow, name).tobytes() == getattr(w.flow, name).tobytes()
+        assert r.disparity.tobytes() == w.disparity.tobytes()
 
 
 def test_process_sequence_on_plaid():
