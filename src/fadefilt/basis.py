@@ -62,6 +62,13 @@ def _moment_inner(a: np.ndarray, b: np.ndarray, mu: list) -> float:
     return acc
 
 
+def _check_degree(degree: int) -> None:
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} exceeds supported maximum {MAX_DEGREE}")
+
+
 def orthonormal_basis(degree: int, weight: WeightSpec) -> BasisSet:
     """Build psi_0 .. psi_degree by modified Gram-Schmidt on 1, m, m^2, ...
 
@@ -70,10 +77,7 @@ def orthonormal_basis(degree: int, weight: WeightSpec) -> BasisSet:
     moment matrix is too ill-conditioned past that point to certify the
     result, and no supported design needs it.
     """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    if degree > MAX_DEGREE:
-        raise ValueError(f"degree {degree} exceeds supported maximum {MAX_DEGREE}")
+    _check_degree(degree)
     mu = weight_moments(weight, 2 * degree).tolist()
     n = degree + 1
     rows = np.eye(n)
@@ -106,7 +110,10 @@ def synthesis_weights(
         raise ValueError("derivative order must be >= 0")
     if sample_period <= 0.0:
         raise ValueError("sample_period must be > 0")
-    scale = (-1.0 / sample_period) ** derivative
+    try:
+        scale = (-1.0 / sample_period) ** derivative
+    except OverflowError:
+        raise ValueError(f"(-1/T)**D overflows at T={sample_period}, D={derivative}") from None
     return np.array(
         [scale * basis.evaluate_derivative(k, derivative, delay) for k in range(basis.degree + 1)]
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import re
@@ -158,16 +159,11 @@ def _table_coefficients(design: FilterDesign):
                                     design.sample_period)
 
 
-def _derive(design: FilterDesign):
-    if design.causality is Causality.TWO_SIDED:
-        return derive_noncausal_pair(design)
-    return derive_causal_lde(design)
-
-
 def _coefficients_for(design: FilterDesign, source: str):
     if source == "table":
         return _table_coefficients(design)
-    derived = _derive(design)
+    two_sided = design.causality is Causality.TWO_SIDED
+    derived = (derive_noncausal_pair if two_sided else derive_causal_lde)(design)
     if source == "both-compare":
         table = _table_coefficients(design)
         if len(derived.halves) > 1:
@@ -220,13 +216,12 @@ def _cmd_response(args) -> int:
         raise CliError("give --coeff or inline design flags")
     if args.points < 2:
         raise CliError("--points must be at least 2")
+    if args.points > sys.maxsize // 16:  # a complex column past numpy's largest array
+        raise CliError(f"--points {args.points} is more than an array can hold")
     grid = np.linspace(0.0, math.pi, args.points)
     table = evaluate_response(filt, grid)
     flat = flatness_report(filt) if args.report_flatness else None
-    if args.out is None or args.out == "-":
-        write_response_csv(table, sys.stdout, flat)
-    else:
-        write_response_csv(table, args.out, flat)
+    write_response_csv(table, sys.stdout if args.out in (None, "-") else args.out, flat)
     return EXIT_OK
 
 
@@ -239,22 +234,6 @@ def _check_mode(filt, mode: str | None) -> None:
     if mode == "noncausal" and len(filt.halves) != 2:
         raise CliError("--mode noncausal needs a forward/backward pair "
                        "coefficient file")
-
-
-class _FiniteStack(FloatStackReader):
-    """A .f32 input stack whose frames must be finite.  The library does
-    not repair NaN or inf samples (one would spread through the spatial
-    filters and stay in the temporal state), so the first one found is
-    rejected with its frame index and pixel."""
-
-    def __iter__(self):
-        for n, frame in enumerate(super().__iter__()):
-            finite = np.isfinite(frame)
-            if not finite.all():
-                row, col = np.argwhere(~finite)[0]
-                raise CliError(f"{self.path}: frame {n} has a non-finite sample "
-                               f"at (row {row}, col {col})")
-            yield frame
 
 
 def _write_plane(out: Path, plane: np.ndarray) -> None:
@@ -292,7 +271,7 @@ def _cmd_filter(args) -> int:
     elif ext == ".f32":
         if out_path.suffix.lower() != ".f32":
             raise CliError("frame-stack input writes a .f32 output")
-        frames = _FiniteStack(in_path)
+        frames = FloatStackReader(in_path)
         if args.axis == "time":
             planes = filter_time_stack(filt, frames, priming)
         else:
@@ -308,12 +287,6 @@ def _cmd_filter(args) -> int:
 
 # ----------------------------------------------------------------- flow
 
-_FLOW_OVERRIDES = (
-    "spatial_sigma", "temporal_sigma", "temporal_q", "temporal_kappa",
-    "smoothing_pole", "det_threshold", "t_space", "t_time",
-)
-
-
 def _open_frames(source: str):
     """The input frames, read one at a time; len() and shape are known
     before any pixel is read."""
@@ -321,15 +294,13 @@ def _open_frames(source: str):
     if path.is_dir():
         return PgmDirReader(path)
     if path.suffix.lower() == ".f32":
-        return _FiniteStack(path)
+        return FloatStackReader(path)
     raise CliError(f"--frames must name a directory of PGMs or a .f32 stack, "
                    f"got {source!r}")
 
 
 def _cmd_flow(args) -> int:
-    overrides = {name: getattr(args, name) for name in _FLOW_OVERRIDES
-                 if getattr(args, name) is not None}
-    cfg = FlowConfig(**overrides)
+    cfg = FlowConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(FlowConfig)})
     frames = _open_frames(args.frames)
 
     n_frames = len(frames)
@@ -369,7 +340,7 @@ def _cmd_flow(args) -> int:
         raise
 
     manifest = {
-        "config": cfg.as_dict(),
+        "config": dataclasses.asdict(cfg),
         "frames_in": int(n_frames),
         "frames_out": dj.frames,
         "warmup_frames": int(cfg.warmup_frames),
@@ -446,28 +417,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--frames", required=True,
                         help="directory of PGM frames or a .f32 stack")
     p_flow.add_argument("--out", required=True, help="output directory")
-    p_flow.add_argument("--spatial-sigma", type=float, default=None,
-                        dest="spatial_sigma",
-                        help="spatial differentiator sigma (default -1)")
-    p_flow.add_argument("--temporal-sigma", type=float, default=None,
-                        dest="temporal_sigma",
-                        help="temporal differentiator sigma (default -1)")
-    p_flow.add_argument("--temporal-q", type=float, default=None,
-                        dest="temporal_q",
-                        help="temporal differentiator delay (default 4)")
-    p_flow.add_argument("--temporal-kappa", type=int, default=None,
-                        dest="temporal_kappa",
-                        help="temporal weight shape exponent (default 1)")
-    p_flow.add_argument("--smoothing-pole", type=float, default=None,
-                        dest="smoothing_pole",
-                        help="product-smoother pole (default exp(-1/16))")
-    p_flow.add_argument("--det-threshold", type=float, default=None,
-                        dest="det_threshold",
-                        help="normalized determinant gate (default 1e-6)")
-    p_flow.add_argument("--t-space", type=float, default=None, dest="t_space",
-                        help="pixel pitch (default 1)")
-    p_flow.add_argument("--t-time", type=float, default=None, dest="t_time",
-                        help="frame period (default 1)")
+    # one flag per FlowConfig field, with the field's type and default
+    for setting in dataclasses.fields(FlowConfig):
+        p_flow.add_argument(f"--{setting.name.replace('_', '-')}", type=type(setting.default),
+                            default=setting.default,
+                            help=f"{setting.metadata['help']} (default %(default)s)")
     p_flow.add_argument("--strict", action="store_true",
                         help="fail (exit 4) if the stream is shorter than "
                              "the warm-up horizon")
@@ -503,7 +457,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

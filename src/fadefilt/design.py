@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.signal
 
-from .basis import BasisSet, orthonormal_basis, synthesis_weights
+from .basis import BasisSet, _check_degree, orthonormal_basis, synthesis_weights
 from .weights import Causality, WeightSpec
 
 TAIL_TOLERANCE = 1e-9
@@ -55,6 +55,7 @@ class FilterDesign:
             raise ValueError(
                 f"derivative order {self.derivative} outside [0, degree={self.degree}]"
             )
+        _check_degree(self.degree)
         if not (math.isfinite(self.sample_period) and self.sample_period > 0.0):
             raise ValueError(f"sample_period must be finite and > 0, got {self.sample_period}")
         if not math.isfinite(self.delay):
@@ -78,11 +79,13 @@ class FilterDesign:
 @dataclass(frozen=True, eq=False)
 class LdeCoefficients:
     """Numerator b and monic denominator a of a rational filter H(z),
-    both in ascending powers of z^-1."""
+    both in ascending powers of z^-1.  ``pole_radius`` is the largest
+    pole modulus, found once by the stability check (0.0 without poles)."""
 
     b: np.ndarray
     a: np.ndarray
     sample_period: float = 1.0
+    pole_radius: float = field(init=False, repr=False)
 
     def __post_init__(self):
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
@@ -94,14 +97,14 @@ class LdeCoefficients:
             raise ValueError("denominator must be monic (a[0] == 1)")
         if not (math.isfinite(self.sample_period) and self.sample_period > 0.0):
             raise ValueError(f"sample_period must be finite and > 0, got {self.sample_period}")
-        if len(a) > 1:
-            roots = np.roots(a)
-            if roots.size and np.max(np.abs(roots)) >= 1.0:
-                raise ValueError("unstable denominator: pole on or outside unit circle")
+        radius = float(np.max(np.abs(np.roots(a)), initial=0.0))
+        if radius >= 1.0:
+            raise ValueError("unstable denominator: pole on or outside unit circle")
         b.flags.writeable = False
         a.flags.writeable = False
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "pole_radius", radius)
 
     @property
     def halves(self) -> tuple:
@@ -151,10 +154,15 @@ class SpectrumFilterBank:
 
 
 def binomial_denominator(pole: float, multiplicity: int) -> np.ndarray:
-    """Coefficients of (1 - pole*z^-1)**multiplicity, ascending."""
-    return np.array(
-        [math.comb(multiplicity, i) * (-pole) ** i for i in range(multiplicity + 1)]
-    )
+    """Coefficients of (1 - pole*z^-1)**multiplicity, ascending; a
+    binomial coefficient beyond the float range raises ValueError."""
+    try:
+        return np.array(
+            [math.comb(multiplicity, i) * (-pole) ** i for i in range(multiplicity + 1)]
+        )
+    except OverflowError:
+        raise ValueError(f"(1 - p z^-1)**{multiplicity} has binomial coefficients "
+                         "beyond the float range") from None
 
 
 def pole_multiplicity(lde: LdeCoefficients) -> tuple[float, int]:

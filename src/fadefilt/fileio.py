@@ -122,11 +122,6 @@ class PgmDirReader:
             yield frame
 
 
-def read_pgm_dir(path) -> list[np.ndarray]:
-    """Load all *.pgm files in a directory in lexicographic order."""
-    return list(PgmDirReader(path))
-
-
 # ------------------------------------------------- raw float32 stacks
 
 def _sidecar(path) -> Path:
@@ -139,7 +134,8 @@ class FloatStackReader:
     and a non-negative integer frame count (flow writes empty stacks for
     streams shorter than its delay); the data file must hold exactly
     that many samples.  Iterating yields (H, W) float64 frames without
-    holding more than one."""
+    holding more than one; the first NaN or inf sample, which no filter
+    repairs, raises ValueError naming its frame, row and column."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -171,9 +167,14 @@ class FloatStackReader:
     def __iter__(self) -> Iterator[np.ndarray]:
         count = self.shape[0] * self.shape[1]
         with open(self.path, "rb") as f:
-            for _ in range(self.frames):
-                frame = np.fromfile(f, dtype="<f4", count=count)
-                yield frame.reshape(self.shape).astype(float)
+            for n in range(self.frames):
+                frame = np.fromfile(f, dtype="<f4", count=count).reshape(self.shape)
+                finite = np.isfinite(frame)
+                if not finite.all():
+                    row, col = np.argwhere(~finite)[0]
+                    raise ValueError(f"{self.path}: frame {n} has a non-finite sample "
+                                     f"at (row {row}, col {col})")
+                yield frame.astype(float)
 
 
 class FloatStackWriter:
@@ -227,10 +228,10 @@ def write_float_stack(path, frames) -> None:
 
 
 def read_float_stack(path) -> np.ndarray:
-    """Load a whole float32 raw stack, validated as by FloatStackReader;
-    returns (F, H, W) float64."""
+    """Load a whole float32 raw stack through FloatStackReader, which
+    validates it; returns (F, H, W) float64."""
     stack = FloatStackReader(path)
-    return np.fromfile(path, dtype="<f4").reshape((len(stack),) + stack.shape).astype(float)
+    return np.fromiter(stack, np.dtype((float, stack.shape)), len(stack))
 
 
 # --------------------------------------------------------- signal CSV

@@ -23,8 +23,8 @@ are not explained by that motion:
 
 process_sequence checks each frame and feeds it to one engine, built
 on the first frame, that owns the stream: the filters and their state,
-a delay line of the last q frames, into which it copies each frame (so
-a producer may refill one buffer for every frame), and one workspace
+a delay line of the last q frames seen, into which it copies each frame
+(so a producer may refill one buffer for every frame), and one workspace
 reused for every frame, which must have the first frame's shape.  The
 per-pixel stages run in cache-sized row strips with the bits of
 whole-frame calls; see _FlowEngine.
@@ -38,7 +38,7 @@ than suppressed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -49,25 +49,33 @@ from .runtime import (
     Axis, FrameFilter, _padded, _row_strips, _stacked_column_pass, _tdf2_step,
     filter_image_separable,
 )
-from .weights import Causality, WeightSpec
+from .weights import Causality, WeightSpec, _check_sigma
+
+
+def _setting(default, help: str):
+    """A FlowConfig field: its default, and the phrase that the CLI's
+    flag for it shows as help."""
+    return field(default=default, metadata={"help": help})
 
 
 @dataclass(frozen=True)
 class FlowConfig:
-    spatial_sigma: float = -1.0
-    temporal_sigma: float = -1.0
-    temporal_q: float = 4.0
-    temporal_kappa: int = 1
-    smoothing_pole: float = math.exp(-1.0 / 16.0)
-    det_threshold: float = 1e-6
-    t_space: float = 1.0
-    t_time: float = 1.0
+    """The flow pipeline's settings.  The CLI's flow flags are built
+    from these fields: one flag per field, in this order, with the
+    field's type and default."""
+
+    spatial_sigma: float = _setting(-1.0, "spatial differentiator sigma")
+    temporal_sigma: float = _setting(-1.0, "temporal differentiator sigma")
+    temporal_q: float = _setting(4.0, "temporal differentiator delay in frames")
+    temporal_kappa: int = _setting(1, "temporal weight shape exponent")
+    smoothing_pole: float = _setting(math.exp(-1.0 / 16.0), "product-smoother pole")
+    det_threshold: float = _setting(1e-6, "normalized determinant gate")
+    t_space: float = _setting(1.0, "pixel pitch")
+    t_time: float = _setting(1.0, "frame period")
 
     def __post_init__(self):
-        for name in ("spatial_sigma", "temporal_sigma"):
-            sigma = getattr(self, name)
-            if not (math.isfinite(sigma) and sigma < 0.0):
-                raise ValueError(f"{name} must be finite and < 0, got {sigma}")
+        _check_sigma("spatial_sigma", self.spatial_sigma)
+        _check_sigma("temporal_sigma", self.temporal_sigma)
         if not (0.0 < self.smoothing_pole < 1.0):
             raise ValueError("smoothing_pole must lie in (0, 1)")
         if not (math.isfinite(self.det_threshold) and self.det_threshold >= 0.0):
@@ -82,14 +90,6 @@ class FlowConfig:
             raise ValueError("sample periods must be finite and > 0")
 
     @property
-    def spatial_pole(self) -> float:
-        return math.exp(self.spatial_sigma)
-
-    @property
-    def temporal_pole(self) -> float:
-        return math.exp(self.temporal_sigma)
-
-    @property
     def frame_delay(self) -> int:
         """Frames the spatial path is delayed to align with I_z."""
         return int(self.temporal_q)
@@ -97,16 +97,13 @@ class FlowConfig:
     @property
     def warmup_frames(self) -> int:
         """Input frames consumed before outputs are trustworthy."""
-        return self.frame_delay + math.ceil(6.0 / (1.0 - self.temporal_pole))
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self.frame_delay + math.ceil(6.0 / (1.0 - math.exp(self.temporal_sigma)))
 
     # filter construction
 
     def spatial_differentiator(self) -> NonCausalPair:
         return closed_form_coefficients(
-            ClosedForm.DIFFERENTIATOR_NONCAUSAL, self.spatial_pole,
+            ClosedForm.DIFFERENTIATOR_NONCAUSAL, math.exp(self.spatial_sigma),
             sample_period=self.t_space,
         )
 
@@ -162,10 +159,12 @@ class _FlowEngine:
 
     The spatial path runs on the frame the temporal derivative refers
     to, q = frame_delay frames back.  The engine copies each input
-    frame into its own ring of q planes, into the slot of frame n - q
-    once the spatial differentiator has read it, so a producer may
-    refill one buffer for every frame.  With q = 0 the ring is empty
-    and the spatial path reads the input frame.
+    frame into its own ring of planes: the first q frames each append a
+    copy, so the ring holds no more planes than frames seen, and each
+    later frame is copied into the slot of frame n - q once the spatial
+    differentiator has read it, so a producer may refill one buffer for
+    every frame.  With q = 0 the ring is empty and the spatial path
+    reads the input frame.
 
     Each product is formed in one reused plane and its row pass written
     to slot k of the (H, 10, W) workspace; the stacked column pass
@@ -194,7 +193,7 @@ class _FlowEngine:
         self._differentiator = cfg.spatial_differentiator()
         self._smoother = cfg.spatial_smoother()
         self._frames = 0
-        self._ring = np.empty((cfg.frame_delay,) + shape)
+        self._ring: list[np.ndarray] = []
         self._gradients = np.empty((3,) + shape)
         self._product = np.empty(shape)
         self._work = np.empty((height, 10, width))
@@ -215,7 +214,7 @@ class _FlowEngine:
         ix, iy, iz = g = self._gradients
         self._iz_filter.step(frame, out=iz)
         if n < q:
-            self._ring[n] = frame
+            self._ring.append(frame.copy())
             return None
         delayed = self._ring[n % q] if q else frame
         filter_image_separable(self._differentiator, delayed, Axis.ROWS, out=ix)
@@ -326,7 +325,8 @@ def process_sequence(
     Non-finite input is not repaired: one NaN or inf sample spreads
     along its row and column through the spatial filters and stays in
     the temporal state, so every later result is invalid.  Callers that
-    read untrusted frames should reject them first, as the CLI does."""
+    read untrusted frames should reject them first, as FloatStackReader
+    does."""
     if cfg is None:
         cfg = FlowConfig()
     engine: _FlowEngine | None = None

@@ -220,12 +220,7 @@ def white_noise_gain(lde: LdeCoefficients) -> float:
     input.  The impulse response is run in blocks and the sum truncated
     once a geometric envelope bound on the remaining tail drops below
     _WNG_TOLERANCE times the partial sum."""
-    b, a = lde.b, lde.a
-    if len(a) > 1:
-        roots = np.roots(a)
-        rho = float(np.max(np.abs(roots))) if roots.size else 0.0
-    else:
-        rho = 0.0
+    b, a, rho = lde.b, lde.a, lde.pole_radius
     n = len(a) - 1
     block = 512
     x = np.zeros(block)
@@ -240,11 +235,8 @@ def white_noise_gain(lde: LdeCoefficients) -> float:
         total += e_blk
         start += block
         # block-to-block envelope ratio for |h[m]| <= C m^(n-1) rho^m
-        if rho > 0.0:
-            r = (rho**block * ((start + block) / start) ** max(n - 1, 0)) ** 2
-        else:
-            r = 0.0
-        if r < 1.0 and (e_blk * r / (1.0 - r) if r > 0 else 0.0) <= _WNG_TOLERANCE * total:
+        r = (rho**block * ((start + block) / start) ** max(n - 1, 0)) ** 2
+        if r < 1.0 and e_blk * r / (1.0 - r) <= _WNG_TOLERANCE * total:
             break
         if start > 5_000_000:
             raise RuntimeError("white_noise_gain failed to converge")

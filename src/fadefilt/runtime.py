@@ -135,8 +135,10 @@ class FrameFilter:
         n = len(self._b) - 1
         self._shape = shape = tuple(shape)
         if hold is not None:
-            zi = coefficients.steady_state
-            self.state = zi.reshape((n,) + (1,) * len(shape)) * np.asarray(hold, float)
+            hold = np.asarray(hold, float)
+            if hold.shape != shape:
+                raise ValueError(f"hold shape {hold.shape} does not match the filter's {shape}")
+            self.state = coefficients.steady_state.reshape((n,) + (1,) * len(shape)) * hold
         else:
             self.state = np.zeros((n,) + shape)
         if shape:

@@ -31,11 +31,23 @@ class Causality(enum.Enum):
     TWO_SIDED = "two-sided"
 
 
+def _check_sigma(name: str, sigma: float) -> None:
+    """Raise ValueError, naming the field, unless ``sigma`` is finite
+    and < 0 and its pole exp(sigma) is below 1: a sigma within about
+    2**-54 of 0 has a pole of exactly 1.0."""
+    if not (math.isfinite(sigma) and sigma < 0.0):
+        raise ValueError(f"{name} must be finite and < 0, got {sigma}")
+    if math.exp(sigma) == 1.0:
+        raise ValueError(f"{name} is too close to 0: its pole exp({name}) rounds to 1, "
+                         f"got {sigma}")
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """Parameters of a discount weight sequence.
 
-    sigma : float, log of the discount factor, must be < 0.
+    sigma : float, log of the discount factor, must be < 0 with
+        exp(sigma) < 1.
     kappa : int >= 0, polynomial shaping exponent (causal only).
     causality : which support the window has.
     """
@@ -45,8 +57,7 @@ class WeightSpec:
     causality: Causality = Causality.CAUSAL
 
     def __post_init__(self):
-        if not (self.sigma < 0.0) or not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be finite and < 0, got {self.sigma}")
+        _check_sigma("sigma", self.sigma)
         if self.kappa < 0 or int(self.kappa) != self.kappa:
             raise ValueError(f"kappa must be a nonnegative integer, got {self.kappa}")
         if self.causality is Causality.TWO_SIDED and self.kappa != 0:

@@ -6,8 +6,11 @@ codes, emitted files, and stream output.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
+import math
+import re
 import weakref
 
 import numpy as np
@@ -17,10 +20,10 @@ import fadefilt.cli
 from fadefilt.cli import main
 from fadefilt.design import LdeCoefficients
 from fadefilt.fileio import (
+    PgmDirReader,
     read_coefficients_json,
     read_float_stack,
     read_pgm,
-    read_pgm_dir,
     read_signal_csv,
     write_float_stack,
     write_pgm,
@@ -237,6 +240,22 @@ def test_filter_pgm_rows(tmp_path):
                  "--out", str(dst), "--axis", "time"]) == 2
 
 
+def test_filter_pgm_to_f32_and_bad_output_extension(tmp_path, capsys):
+    coeff = design_file(tmp_path)
+    src = tmp_path / "in.pgm"
+    write_pgm(src, np.random.default_rng(4).random((5, 6)))
+    dst = tmp_path / "out.f32"
+    assert main(["filter", "--coeff", str(coeff), "--input", str(src),
+                 "--out", str(dst), "--axis", "cols"]) == 0
+    filt, _ = read_coefficients_json(coeff)
+    expected = filter_image_separable(filt, read_pgm(src), Axis.COLS, Priming.HOLD_FIRST)
+    assert dst.read_bytes() == expected[None].astype("<f4").tobytes()
+    assert main(["filter", "--coeff", str(coeff), "--input", str(src),
+                 "--out", str(tmp_path / "out.csv"), "--axis", "rows"]) == 2
+    assert capsys.readouterr().err == "error: image outputs must be .pgm or .f32, got 'out.csv'\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_filter_f32_time_stack(tmp_path):
     coeff = design_file(tmp_path)
     src = tmp_path / "in.f32"
@@ -356,7 +375,7 @@ def test_flow_run_and_manifest(tmp_path):
     assert manifest["frames_out"] == 16
     assert manifest["warmup_frames"] == 14
     assert manifest["height"] == 48 and manifest["width"] == 48
-    assert manifest["config"] == FlowConfig().as_dict()
+    assert manifest["config"] == dataclasses.asdict(FlowConfig())
 
     vx = read_float_stack(out / "vx.f32")
     vy = read_float_stack(out / "vy.f32")
@@ -433,6 +452,84 @@ def test_flow_spaced_minus_inf_sigma_exits_2(tmp_path, capsys, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["design", "--B", "2", "--sigma=-1e-17"],
+     "sigma is too close to 0: its pole exp(sigma) rounds to 1, got -1e-17"),
+    (["response", "--B", "2", "--sigma=-1e-300"],
+     "sigma is too close to 0: its pole exp(sigma) rounds to 1, got -1e-300"),
+    (["flow", "--temporal-sigma=-1e-300"],
+     "temporal_sigma is too close to 0: its pole exp(temporal_sigma) rounds to 1, got -1e-300"),
+    (["flow", "--spatial-sigma=-1e-300"],
+     "spatial_sigma is too close to 0: its pole exp(spatial_sigma) rounds to 1, got -1e-300"),
+], ids=["design", "response", "flow-temporal", "flow-spatial"])
+def test_sigma_whose_pole_rounds_to_one_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    if argv[0] == "flow":
+        src = tmp_path / "frames.f32"
+        write_float_stack(src, np.full((6, 8, 8), 0.5))
+        argv = argv + ["--frames", str(src), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q", ["1e12", "1e300"])
+def test_flow_with_a_delay_longer_than_the_stream_writes_empty_stacks(tmp_path, q):
+    src = tmp_path / "frames.f32"
+    write_float_stack(src, translating_plaid(10, 16, 16, velocity=(0.5, 0.0)))
+    out = tmp_path / "run"
+    assert main(["flow", "--frames", str(src), "--out", str(out), "--temporal-q", q]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["frames_in"] == 10 and manifest["frames_out"] == 0
+    assert manifest["config"]["temporal_q"] == float(q)
+    for name in ("vx", "vy", "dj"):
+        assert read_float_stack(out / f"{name}.f32").shape == (0, 16, 16)
+
+
+@pytest.mark.parametrize("points", [10**15, 2**63 - 1, 2**64])
+def test_response_grid_too_large_to_allocate_exits_2(capsys, points):
+    # every size here is refused before any memory is touched
+    argv = ["response", "--B", "2", "--pole", "0.5", "--points", str(points)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--B", str(2**31)], "degree 2147483648 exceeds supported maximum 6"),
+    (["--B", "2", "--kappa", str(2**31)],
+     "(1 - p z^-1)**2147483651 has binomial coefficients beyond the float range"),
+    (["--B", "2", "--D", "2", "--T", "1e-300"], "(-1/T)**D overflows at T=1e-300, D=2"),
+], ids=["degree", "kappa", "sample-period"])
+def test_design_overflowing_a_float_exits_2(capsys, argv, message):
+    assert main(["design", "--sigma", "-0.5", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_flow_flags_are_the_flow_config_fields(capsys):
+    with pytest.raises(SystemExit):
+        main(["flow", "--help"])
+    listed = re.findall(r"^  (--[a-z-]+) ([A-Z_]+)", capsys.readouterr().out, re.MULTILINE)
+    assert listed[2:] == [
+        ("--spatial-sigma", "SPATIAL_SIGMA"), ("--temporal-sigma", "TEMPORAL_SIGMA"),
+        ("--temporal-q", "TEMPORAL_Q"), ("--temporal-kappa", "TEMPORAL_KAPPA"),
+        ("--smoothing-pole", "SMOOTHING_POLE"), ("--det-threshold", "DET_THRESHOLD"),
+        ("--t-space", "T_SPACE"), ("--t-time", "T_TIME"),
+    ]
+    parser = fadefilt.cli._build_parser()
+    args = vars(parser.parse_args(["flow", "--frames", "f", "--out", "o"]))
+    assert {f.name: args[f.name] for f in dataclasses.fields(FlowConfig)} == {
+        "spatial_sigma": -1.0, "temporal_sigma": -1.0, "temporal_q": 4.0, "temporal_kappa": 1,
+        "smoothing_pole": math.exp(-1.0 / 16.0), "det_threshold": 1e-6, "t_space": 1.0,
+        "t_time": 1.0,
+    }
+    kappa = parser.parse_args(["flow", "--frames", "f", "--out", "o", "--temporal-kappa", "2"])
+    assert type(kappa.temporal_kappa) is int and type(args["temporal_q"]) is float
+
+
 @pytest.mark.parametrize("value", ["-1e-1", "-1E-1", "-.1", "-0.1"])
 def test_design_reads_negative_values_after_a_space(capsys, value):
     assert main(["design", "--B", "2", "--sigma", value, "--format", "csv"]) == 0
@@ -498,7 +595,7 @@ def test_flow_outputs_match_library_bytes(tmp_path, kind):
         src.mkdir()
         for n, frame in enumerate(frames):
             write_pgm(src / f"frame_{n:03d}.pgm", frame)
-        library_input = read_pgm_dir(src)
+        library_input = list(PgmDirReader(src))
     out = tmp_path / "run"
     assert main(["flow", "--frames", str(src), "--out", str(out)]) == 0
     results = list(process_sequence(library_input))

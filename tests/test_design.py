@@ -293,3 +293,38 @@ def test_causal_lde_and_bank_bitwise_match_reference(degree):
                 design = causal_design(degree, derivative, pole, kappa, q=1.5)
                 want = _outcome(_reference_causal, design)
                 assert _outcome(_causal_arrays, design) == want, (derivative, kappa, pole)
+
+
+@pytest.mark.parametrize("b, a, radius", [
+    ([0.5], [1.0], 0.0),
+    ([0.5], [1.0, 0.0], 0.0),
+    ([0.75], [1.0, -0.25], 0.25),
+    ([1.0], [1.0, 0.0, 0.81], 0.9),
+])
+def test_pole_radius_is_the_largest_pole_modulus(b, a, radius):
+    assert LdeCoefficients(b=b, a=a).pole_radius == pytest.approx(radius, abs=1e-15)
+
+
+@pytest.mark.parametrize("degree, kappa", [(0, 0), (2, 1), (6, 2)])
+def test_pole_radius_is_the_root_finding_of_the_stability_check(degree, kappa):
+    lde = derive_causal_lde(FilterDesign(degree, 0, WeightSpec(math.log(0.6), kappa)))
+    assert lde.pole_radius == float(np.max(np.abs(np.roots(lde.a))))
+
+
+def test_design_rejects_degree_above_the_maximum_before_building_a_denominator():
+    # (1 - p z^-1)**(2**31 + 1) would overflow float while it was built
+    with pytest.raises(ValueError, match=r"^degree 2147483648 exceeds supported maximum 6$"):
+        FilterDesign(2**31, 0, WeightSpec(-1.0))
+
+
+def test_binomial_denominator_beyond_float_range_is_a_value_error():
+    with pytest.raises(ValueError, match=r"\(1 - p z\^-1\)\*\*2000 has binomial coefficients"):
+        binomial_denominator(0.5, 2000)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        derive_causal_lde(FilterDesign(2, 0, WeightSpec(-0.5, kappa=2**31)))
+
+
+def test_sample_period_whose_derivative_scale_overflows_is_a_value_error():
+    basis = orthonormal_basis(2, WeightSpec(-0.5))
+    with pytest.raises(ValueError, match=r"^\(-1/T\)\*\*D overflows at T=1e-300, D=2$"):
+        synthesis_weights(basis, 2, 0.0, 1e-300)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from fadefilt.fileio import (
     read_coefficients_json,
     read_float_stack,
     read_pgm,
-    read_pgm_dir,
     read_signal_csv,
     write_float_stack,
     write_pgm,
@@ -238,17 +238,17 @@ def test_coefficients_csv_shapes():
     assert len(pair_rows) == 4
 
 
-def test_read_pgm_dir_sorted_and_uniform(tmp_path):
+def test_pgm_dir_reader_sorted_and_uniform(tmp_path):
     a = np.zeros((4, 4))
     b = np.ones((4, 4))
     write_pgm(tmp_path / "f_0001.pgm", b)
     write_pgm(tmp_path / "f_0000.pgm", a)
-    frames = read_pgm_dir(tmp_path)
+    frames = list(PgmDirReader(tmp_path))
     assert len(frames) == 2
     assert frames[0].max() == 0.0 and frames[1].min() == 1.0
     write_pgm(tmp_path / "f_0002.pgm", np.zeros((3, 3)))
     with pytest.raises(ValueError, match="frame 2 has shape"):
-        read_pgm_dir(tmp_path)
+        list(PgmDirReader(tmp_path))
 
 
 def test_pgm_dir_reader_counts_without_loading(tmp_path):
@@ -259,3 +259,18 @@ def test_pgm_dir_reader_counts_without_loading(tmp_path):
     assert [f[0, 0] for f in reader] == [0.0, 128 / 255, 1.0]
     with pytest.raises(ValueError, match="no PGM frames"):
         PgmDirReader(tmp_path / "absent")
+
+
+def test_float_stack_reader_rejects_non_finite_samples(tmp_path):
+    frames = np.zeros((3, 4, 5))
+    frames[1, 2, 0] = np.nan
+    frames[2, 0, 0] = np.inf
+    path = tmp_path / "bad.f32"
+    write_float_stack(path, frames)
+    message = f"^{re.escape(str(path))}: frame 1 has a non-finite sample at \\(row 2, col 0\\)$"
+    stream = iter(FloatStackReader(path))
+    assert np.array_equal(next(stream), frames[0])
+    with pytest.raises(ValueError, match=message):
+        next(stream)
+    with pytest.raises(ValueError, match=message):
+        read_float_stack(path)

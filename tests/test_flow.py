@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -75,7 +76,7 @@ def test_config_accepts_whole_frame_delays():
 
 def test_config_as_dict_round_trips():
     cfg = FlowConfig(temporal_q=3.0, det_threshold=1e-5)
-    again = FlowConfig(**cfg.as_dict())
+    again = FlowConfig(**dataclasses.asdict(cfg))
     assert again == cfg
 
 
@@ -355,3 +356,18 @@ def test_short_stream_yields_nothing():
     cfg = FlowConfig()
     frames = translating_plaid(cfg.frame_delay, 16, 16, (0.1, 0.0))
     assert list(process_sequence(frames, cfg)) == []
+
+
+@pytest.mark.parametrize("name", ["spatial_sigma", "temporal_sigma"])
+@pytest.mark.parametrize("sigma", [-1e-17, -1e-300])
+def test_config_rejects_a_sigma_whose_pole_rounds_to_one(name, sigma):
+    message = f"{name} is too close to 0: its pole exp({name}) rounds to 1, got {sigma}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FlowConfig(**{name: sigma})
+
+
+def test_delay_line_holds_only_the_frames_seen():
+    # the delay line grows with the stream: a q beyond any memory still
+    # runs, and a stream shorter than q yields nothing
+    frames = translating_plaid(10, 16, 16, (0.5, 0.0))
+    assert list(process_sequence(frames, FlowConfig(temporal_q=1e12))) == []

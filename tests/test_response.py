@@ -366,6 +366,49 @@ def test_white_noise_gain_of_one_pole():
     assert white_noise_gain(lde) == pytest.approx((1 - p) ** 2 / (1 - p**2), rel=1e-12)
 
 
+def test_white_noise_gain_of_a_pure_gain():
+    from fadefilt.design import LdeCoefficients
+
+    assert white_noise_gain(LdeCoefficients(b=np.array([0.5]), a=np.array([1.0]))) == 0.25
+
+
+def _white_noise_gain_finding_its_own_roots(lde) -> float:
+    """white_noise_gain as it was before it read lde.pole_radius."""
+    b, a = lde.b, lde.a
+    if len(a) > 1:
+        roots = np.roots(a)
+        rho = float(np.max(np.abs(roots))) if roots.size else 0.0
+    else:
+        rho = 0.0
+    n = len(a) - 1
+    block = 512
+    x = np.zeros(block)
+    x[0] = 1.0
+    zi = np.zeros(max(len(a), len(b)) - 1)
+    total = 0.0
+    start = 0
+    while True:
+        h, zi = scipy.signal.lfilter(b, a, x, zi=zi)
+        x[0] = 0.0
+        e_blk = float(h @ h)
+        total += e_blk
+        start += block
+        if rho > 0.0:
+            r = (rho**block * ((start + block) / start) ** max(n - 1, 0)) ** 2
+        else:
+            r = 0.0
+        if r < 1.0 and (e_blk * r / (1.0 - r) if r > 0 else 0.0) <= 1e-12 * total:
+            return total
+
+
+@pytest.mark.parametrize("degree, kappa, pole", [
+    (0, 0, 0.3), (1, 0, 0.9), (2, 1, 0.6), (3, 2, 0.95), (6, 0, 0.98),
+])
+def test_white_noise_gain_bits_match_finding_the_roots_again(degree, kappa, pole):
+    lde = derive_causal_lde(FilterDesign(degree, degree // 2, WeightSpec(math.log(pole), kappa)))
+    assert white_noise_gain(lde) == _white_noise_gain_finding_its_own_roots(lde)
+
+
 PHASE_CACHE = response_module._cached_phase_matrix
 
 

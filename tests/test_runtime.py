@@ -346,3 +346,22 @@ def test_two_sided_design_runtime_round_trip():
     y = filter_noncausal(pair, x, Priming.ZERO)
     want = 0.2 * t - 2.0
     assert np.allclose(y[30:-30], want[30:-30], atol=1e-7)
+
+
+def test_frame_filter_rejects_a_hold_of_another_shape():
+    with pytest.raises(ValueError, match=r"^hold shape \(4, 3\) does not match the filter's \(3, 4\)$"):
+        FrameFilter(SMOOTHER, (3, 4), hold=np.ones((4, 3)))
+
+
+def test_frame_filter_step_rejects_a_frame_of_another_shape():
+    ff = FrameFilter(SMOOTHER, (3, 4))
+    with pytest.raises(ValueError, match=r"^frame shape \(4, 3\) does not match the filter's \(3, 4\)$"):
+        ff.step(np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("axis", list(Axis))
+def test_image_separable_causal_filter_writes_into_out(axis):
+    img = np.random.default_rng(8).standard_normal((6, 7))
+    out = np.full_like(img, np.nan)
+    assert filter_image_separable(DIFF, img, axis, out=out) is out
+    assert np.array_equal(out, filter_image_separable(DIFF, img, axis))

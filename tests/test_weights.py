@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,3 +85,12 @@ def test_causal_moment_property(pole, kappa, order):
     got = weight_moments(spec, order)
     ref = brute_moments(spec, order, n_terms=3000)
     assert np.allclose(got, ref, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [-1e-17, -2.0**-54, -1e-300, -5e-324])
+def test_sigma_whose_pole_rounds_to_one_is_rejected_naming_the_field(sigma):
+    assert math.exp(sigma) == 1.0
+    message = f"sigma is too close to 0: its pole exp(sigma) rounds to 1, got {sigma}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        WeightSpec(sigma)
+    assert WeightSpec(-(2.0**-53)).pole < 1.0  # the closest sigma to 0 that is kept
