@@ -114,6 +114,10 @@ def synthesis_weights(
         scale = (-1.0 / sample_period) ** derivative
     except OverflowError:
         raise ValueError(f"(-1/T)**D overflows at T={sample_period}, D={derivative}") from None
-    return np.array(
-        [scale * basis.evaluate_derivative(k, derivative, delay) for k in range(basis.degree + 1)]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.array([scale * basis.evaluate_derivative(k, derivative, delay)
+                      for k in range(basis.degree + 1)])
+    if not np.isfinite(c).all():
+        raise ValueError(f"synthesis weights are not finite at delay {delay}, "
+                         f"T={sample_period}, D={derivative}")
+    return c

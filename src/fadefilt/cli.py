@@ -313,6 +313,7 @@ def _cmd_flow(args) -> int:
         )
 
     out_dir = Path(args.out)
+    created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
     # each result goes to the writers and its preview and is then
     # dropped, so memory does not grow with the stream's length
@@ -334,9 +335,12 @@ def _cmd_flow(args) -> int:
                 previews.append(out_dir / f"dj_{r.frame_index:04d}.pgm")
                 write_pgm(previews[-1], norm)
     except BaseException:
-        # like the stacks, a failed run's previews do not outlive it
+        # like the stacks, a failed run's previews do not outlive it,
+        # nor does the output directory it made
         for path in previews:
             path.unlink(missing_ok=True)
+        if created and not any(out_dir.iterdir()):
+            out_dir.rmdir()
         raise
 
     manifest = {

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .design import LdeCoefficients, NonCausalPair
+from .design import LdeCoefficients, NonCausalPair, binomial_denominator
 from .weights import Causality
 
 import numpy as np
@@ -67,30 +67,28 @@ def closed_form_coefficients(
     p, T = pole, sample_period
 
     if form is ClosedForm.SMOOTHER_K0:
-        a = np.array([1.0, -3 * p, 3 * p**2, -(p**3)])
+        a = binomial_denominator(p, 3)
         c = 0.5 * (1 - p)
         b = c * np.array([
             q**2 * p**2 + 3 * q * p**2 + 2 * p**2 - 2 * q**2 * p + 2 * p + q**2 - 3 * q + 2,
             -(2 * q**2 * p**2 + 8 * q * p**2 + 6 * p**2 - 4 * q**2 * p - 4 * q * p + 6 * p
               + 2 * q**2 - 4 * q),
             q**2 * p**2 + 5 * q * p**2 + 6 * p**2 - 2 * q**2 * p - 4 * q * p + q**2 - q,
-            0.0,
         ])
         return LdeCoefficients(b=b, a=a, sample_period=T)
 
     if form is ClosedForm.DIFFERENTIATOR_K0:
-        a = np.array([1.0, -3 * p, 3 * p**2, -(p**3)])
+        a = binomial_denominator(p, 3)
         c = (1 - p) ** 2 / (2 * T)
         b = c * np.array([
             2 * q * p + 3 * p - 2 * q + 3,
             -4 * (q * p + 2 * p - q + 1),
             2 * q * p + 5 * p - 2 * q + 1,
-            0.0,
         ])
         return LdeCoefficients(b=b, a=a, sample_period=T)
 
     if form is ClosedForm.SMOOTHER_K1:
-        a = np.array([1.0, -4 * p, 6 * p**2, -4 * p**3, p**4])
+        a = binomial_denominator(p, 4)
         c = (1 - p) ** 2 / 6
         b = c * np.array([
             0.0,
@@ -99,24 +97,22 @@ def closed_form_coefficients(
             -2 * (q * p + 3 * p - q + 3) * (3 * q * p + 3 * p - 3 * q + 3),
             3 * q**2 * p**2 + 15 * q * p**2 + 18 * p**2 - 6 * q**2 * p - 6 * q * p + 12 * p
             + 3 * q**2 - 9 * q + 6,
-            0.0,
         ])
         return LdeCoefficients(b=b, a=a, sample_period=T)
 
     if form is ClosedForm.DIFFERENTIATOR_K1:
-        a = np.array([1.0, -4 * p, 6 * p**2, -4 * p**3, p**4])
+        a = binomial_denominator(p, 4)
         c = (1 - p) ** 3 / (2 * T)
         b = c * np.array([
             0.0,
             2 * q * p + 3 * p - 2 * q + 5,
             -4 * (q * p + 2 * p - q + 2),
             2 * q * p + 5 * p - 2 * q + 3,
-            0.0,
         ])
         return LdeCoefficients(b=b, a=a, sample_period=T)
 
     if form is ClosedForm.SMOOTHER_NONCAUSAL:
-        a = np.array([1.0, -3 * p, 3 * p**2, -(p**3)])
+        a = binomial_denominator(p, 3)
         s = 1.0 / (2 * (p**2 + 8 * p + 1))
         edge = s * (p**2 + 10 * p + 1) * (1 - p) / (1 + p)
         b = np.array([edge, 3 * s * p * (p**2 - 1), 3 * s * p**2 * (p**2 - 1), p**3 * edge])
@@ -124,7 +120,7 @@ def closed_form_coefficients(
         return NonCausalPair(forward=half, backward=half)
 
     if form is ClosedForm.DIFFERENTIATOR_NONCAUSAL:
-        a = np.array([1.0, -2 * p, p**2, 0.0])
+        a = binomial_denominator(p, 2)
         b1 = (p - 1) ** 3 / (2 * T * (p + 1))
         fwd = LdeCoefficients(b=np.array([0.0, b1, 0.0, 0.0]), a=a, sample_period=T)
         bwd = LdeCoefficients(b=np.array([0.0, -b1, 0.0, 0.0]), a=a, sample_period=T)

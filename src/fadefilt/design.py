@@ -79,8 +79,10 @@ class FilterDesign:
 @dataclass(frozen=True, eq=False)
 class LdeCoefficients:
     """Numerator b and monic denominator a of a rational filter H(z),
-    both in ascending powers of z^-1.  ``pole_radius`` is the largest
-    pole modulus, found once by the stability check (0.0 without poles)."""
+    both in ascending powers of z^-1.  They are kept as read-only fresh
+    copies of one length, order + 1, the shorter zero-padded, so the
+    caller's arrays stay its own.  ``pole_radius`` is the largest pole
+    modulus, found once by the stability check (0.0 without poles)."""
 
     b: np.ndarray
     a: np.ndarray
@@ -88,22 +90,24 @@ class LdeCoefficients:
     pole_radius: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
+        b, a = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (self.b, self.a))
         for name, values in (("b", b), ("a", a)):
+            if not values.size:
+                raise ValueError(f"{name} must not be empty")
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} must be finite, got {values.tolist()}")
         if a[0] != 1.0:
             raise ValueError("denominator must be monic (a[0] == 1)")
         if not (math.isfinite(self.sample_period) and self.sample_period > 0.0):
             raise ValueError(f"sample_period must be finite and > 0, got {self.sample_period}")
-        radius = float(np.max(np.abs(np.roots(a)), initial=0.0))
+        ba = np.zeros((2, max(b.size, a.size)))
+        ba[0, : b.size], ba[1, : a.size] = b, a
+        radius = float(np.max(np.abs(np.roots(ba[1])), initial=0.0))
         if radius >= 1.0:
             raise ValueError("unstable denominator: pole on or outside unit circle")
-        b.flags.writeable = False
-        a.flags.writeable = False
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a", a)
+        ba.flags.writeable = False
+        object.__setattr__(self, "b", ba[0])
+        object.__setattr__(self, "a", ba[1])
         object.__setattr__(self, "pole_radius", radius)
 
     @property
@@ -113,7 +117,7 @@ class LdeCoefficients:
 
     @property
     def order(self) -> int:
-        return max(len(self.b), len(self.a)) - 1
+        return len(self.a) - 1
 
     def dc_gain(self) -> float:
         return float(np.sum(self.b) / np.sum(self.a))

@@ -179,7 +179,9 @@ class FloatStackReader:
 
 class FloatStackWriter:
     """Context manager that appends (H, W) frames to a float32 stack.
-    Data and sidecar are written under temporary names and renamed into
+    A finite sample beyond the float32 range raises ValueError naming
+    its frame, row and column; NaN and inf are written as given.  Data
+    and sidecar are written under temporary names and renamed into
     place when the block completes, so the stack appears only once it is
     whole; if the block raises, the temporary files are removed."""
 
@@ -199,7 +201,15 @@ class FloatStackWriter:
             raise ValueError(
                 f"{self.path}: frame shape {data.shape} does not match the stack's {self.shape}"
             )
-        self._file.write(data.astype("<f4").tobytes())
+        try:
+            with np.errstate(over="raise"):
+                samples = data.astype("<f4")
+        except FloatingPointError:
+            with np.errstate(over="ignore"):
+                row, col = np.argwhere(np.isfinite(data) & np.isinf(data.astype("<f4")))[0]
+            raise ValueError(f"{self.path}: frame {self.frames} has a sample beyond the "
+                             f"float32 range at (row {row}, col {col})") from None
+        self._file.write(samples.tobytes())
         self.frames += 1
 
     def __exit__(self, exc_type, exc, tb) -> None:

@@ -46,8 +46,7 @@ import numpy as np
 from .closed_form import ClosedForm, closed_form_coefficients
 from .design import FilterDesign, LdeCoefficients, NonCausalPair, derive_causal_lde
 from .runtime import (
-    Axis, FrameFilter, _padded, _row_strips, _stacked_column_pass, _tdf2_step,
-    filter_image_separable,
+    Axis, FrameFilter, _row_strips, _stacked_column_pass, _tdf2_step, filter_image_separable,
 )
 from .weights import Causality, WeightSpec, _check_sigma
 
@@ -197,8 +196,8 @@ class _FlowEngine:
         self._gradients = np.empty((3,) + shape)
         self._product = np.empty(shape)
         self._work = np.empty((height, 10, width))
-        self._b, self._a = _padded(cfg.temporal_smoother())
-        self._temporal = np.zeros((len(self._b) - 1, 5) + shape)
+        self._temporal_smoother = cfg.temporal_smoother()
+        self._temporal = np.zeros((self._temporal_smoother.order, 5) + shape)
         rows, self._strips = _row_strips(height, width)
         # the summed, then smoothed, then raw products of one strip, and
         # scratch for the temporal step and (its first three planes) the
@@ -236,7 +235,7 @@ class _FlowEngine:
             rows = s.stop - s.start
             j, scratch = self._strip[:, :rows], self._scratch[:, :rows]
             np.add(forward[:, s], backward[:, s], out=j)
-            _tdf2_step(self._b, self._a, self._temporal[:, :, s], j, j, scratch)
+            _tdf2_step(self._temporal_smoother, self._temporal[:, :, s], j, j, scratch)
             strip = FlowField(vx=field.vx[s], vy=field.vy[s], valid=field.valid[s])
             solve_flow(j, self.cfg, scratch=scratch[:3], out=strip)
             for k, (a, b) in enumerate(_PRODUCTS):

@@ -67,18 +67,17 @@ def _cached_phase_matrix(n: int, omega_bytes: bytes) -> np.ndarray:
 def _lde_series(lde: LdeCoefficients, omega: np.ndarray):
     """Yield (d^r H/dw^r, [A, A', ..., A^(r)]) on the grid for r = 0, 1,
     2, ...; the list of denominator derivatives grows in place."""
-    pa = _phase_matrix(len(lde.a), omega)
-    pb = pa if len(lde.b) == len(lde.a) else _phase_matrix(len(lde.b), omega)
-    den = [pa @ lde.a]
-    series = [(pb @ lde.b) / den[0]]
+    phase = _phase_matrix(len(lde.a), omega)
+    den = [phase @ lde.a]
+    series = [(phase @ lde.b) / den[0]]
     yield series[0], den
     wb, wa = lde.b, lde.a
-    jmb, jma = -1j * np.arange(len(wb)), -1j * np.arange(len(wa))
+    jm = -1j * np.arange(len(wa))
     for r in itertools.count(1):
-        wb, wa = wb * jmb, wa * jma  # (-jm)^r p_m
-        den.append(pa @ wa)
+        wb, wa = wb * jm, wa * jm  # (-jm)^r p_m
+        den.append(phase @ wa)
         # Leibniz on A H = B: A H^(r) = B^(r) - sum_{i>=1} C(r, i) A^(i) H^(r-i)
-        acc = pb @ wb
+        acc = phase @ wb
         for i in range(1, r + 1):
             acc = acc - math.comb(r, i) * den[i] * series[r - i]
         series.append(acc / den[0])
@@ -119,7 +118,7 @@ def _value_and_delay(filt, omega: np.ndarray):
         series = _derivative_series(filt, omega[zero])
         (hz, dens), (dz, _) = next(series), next(series)
         hs, at_zero, pending = [hz, dz], gd[zero], np.ones(hz.size, dtype=bool)
-        for r in range(2, 2 + sum(max(len(f.b), len(f.a)) for f in halves)):
+        for r in range(2, 2 + sum(len(f.a) for f in halves)):
             hs.append(next(series)[0])
             found = pending & _nonzero(halves, dens, hs)
             at_zero[found] = -np.imag(hs[r][found] / hs[r - 1][found]) / r
@@ -220,12 +219,11 @@ def white_noise_gain(lde: LdeCoefficients) -> float:
     input.  The impulse response is run in blocks and the sum truncated
     once a geometric envelope bound on the remaining tail drops below
     _WNG_TOLERANCE times the partial sum."""
-    b, a, rho = lde.b, lde.a, lde.pole_radius
-    n = len(a) - 1
+    b, a, rho, n = lde.b, lde.a, lde.pole_radius, lde.order
     block = 512
     x = np.zeros(block)
     x[0] = 1.0
-    zi = np.zeros(max(len(a), len(b)) - 1)
+    zi = np.zeros(n)
     total = 0.0
     start = 0
     while True:

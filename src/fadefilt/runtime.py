@@ -53,15 +53,6 @@ class Axis(enum.Enum):
     COLS = "cols"
 
 
-def _padded(lde: LdeCoefficients) -> tuple[np.ndarray, np.ndarray]:
-    n = max(len(lde.b), len(lde.a))
-    b = np.zeros(n)
-    a = np.zeros(n)
-    b[: len(lde.b)] = lde.b
-    a[: len(lde.a)] = lde.a
-    return b, a
-
-
 @functools.lru_cache(maxsize=64)
 def _step_kernel(order: int):
     """Compile, once per order, a factory for a straight-line transposed
@@ -91,9 +82,9 @@ class FilterState:
     def __init__(self, coefficients: LdeCoefficients):
         _require_halves(coefficients, 1, "FilterState")
         self.coefficients = coefficients
-        b, a = _padded(coefficients)
-        self._z = [0.0] * (len(b) - 1)
-        self.step = _step_kernel(len(self._z))(self._z, *b.tolist(), *a[1:].tolist())
+        self._z = [0.0] * coefficients.order
+        self.step = _step_kernel(coefficients.order)(
+            self._z, *coefficients.b.tolist(), *coefficients.a[1:].tolist())
 
     @property
     def delay_line(self) -> np.ndarray:
@@ -131,8 +122,8 @@ class FrameFilter:
 
     def __init__(self, coefficients: LdeCoefficients, shape, hold: np.ndarray | None = None):
         _require_halves(coefficients, 1, "FrameFilter")
-        self._b, self._a = _padded(coefficients)
-        n = len(self._b) - 1
+        self.coefficients = coefficients
+        n = coefficients.order
         self._shape = shape = tuple(shape)
         if hold is not None:
             hold = np.asarray(hold, float)
@@ -154,21 +145,21 @@ class FrameFilter:
         if x.shape != self._shape:
             raise ValueError(f"frame shape {x.shape} does not match the filter's {self._shape}")
         if not x.ndim:
-            return _tdf2_step(self._b, self._a, self.state, x, out, t)
+            return _tdf2_step(self.coefficients, self.state, x, out, t)
         y = np.empty(x.shape) if out is None else out
         for s in self._strips:
-            _tdf2_step(self._b, self._a, self.state[:, s], x[s], y[s], t[: s.stop - s.start])
+            _tdf2_step(self.coefficients, self.state[:, s], x[s], y[s], t[: s.stop - s.start])
         return y
 
 
-def _tdf2_step(b, a, z, x: np.ndarray, out, t: np.ndarray) -> np.ndarray:
-    """One transposed direct-form II step over every element of ``x``,
-    in lfilter's order: y = b0*x + z[0], z[i] = (z[i+1] + b[i+1]*x) -
-    a[i+1]*y.  ``t`` is scratch shaped like ``x``; ``out`` may be ``x``.
-    Every product with x is taken before y is written (z[i] gains
-    b[i]*x for z[i-1], ``t`` takes b[n]*x), so order 1 costs five
-    ufunc calls."""
-    n = z.shape[0]
+def _tdf2_step(lde: LdeCoefficients, z, x: np.ndarray, out, t: np.ndarray) -> np.ndarray:
+    """One transposed direct-form II step of ``lde`` over every element
+    of ``x``, in lfilter's order: y = b0*x + z[0], z[i] = (z[i+1] +
+    b[i+1]*x) - a[i+1]*y.  ``t`` is scratch shaped like ``x``; ``out``
+    may be ``x``.  Every product with x is taken before y is written
+    (z[i] gains b[i]*x for z[i-1], ``t`` takes b[n]*x), so order 1
+    costs five ufunc calls."""
+    b, a, n = lde.b, lde.a, lde.order
     if n == 0:
         return np.multiply(x, b[0], out=out)
     # z[i, ...] stays an array view even for 0-d frames, where z[i]
@@ -208,11 +199,10 @@ def _stacked_column_pass(half: LdeCoefficients, work: np.ndarray) -> None:
     # a ufunc copy: np.copyto cannot tell that the reversed slots are
     # disjoint and would buffer all k planes first
     np.positive(work[::-1, :k], out=work[:, k:])
-    b, a = _padded(half)
     z = work[:1] * half.steady_state.reshape((-1,) + (1,) * (work.ndim - 1))
     t = np.empty(work.shape[1:])
     for row in work:
-        _tdf2_step(b, a, z, row, row, t)
+        _tdf2_step(half, z, row, row, t)
 
 
 def _halves_pass(filt, x: np.ndarray, axis: int, priming: Priming, out=None) -> np.ndarray:

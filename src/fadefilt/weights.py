@@ -33,12 +33,16 @@ class Causality(enum.Enum):
 
 def _check_sigma(name: str, sigma: float) -> None:
     """Raise ValueError, naming the field, unless ``sigma`` is finite
-    and < 0 and its pole exp(sigma) is below 1: a sigma within about
-    2**-54 of 0 has a pole of exactly 1.0."""
+    and < 0 and its pole exp(sigma) lies in (0, 1): a sigma within about
+    2**-54 of 0 has a pole of exactly 1.0, and one below about -745 a
+    pole of exactly 0.0."""
     if not (math.isfinite(sigma) and sigma < 0.0):
         raise ValueError(f"{name} must be finite and < 0, got {sigma}")
     if math.exp(sigma) == 1.0:
         raise ValueError(f"{name} is too close to 0: its pole exp({name}) rounds to 1, "
+                         f"got {sigma}")
+    if math.exp(sigma) == 0.0:
+        raise ValueError(f"{name} is too far below 0: its pole exp({name}) underflows to 0, "
                          f"got {sigma}")
 
 
@@ -47,7 +51,7 @@ class WeightSpec:
     """Parameters of a discount weight sequence.
 
     sigma : float, log of the discount factor, must be < 0 with
-        exp(sigma) < 1.
+        exp(sigma) in (0, 1).
     kappa : int >= 0, polynomial shaping exponent (causal only).
     causality : which support the window has.
     """
@@ -87,17 +91,22 @@ def stirling2_table(n: int) -> np.ndarray:
 
 
 def _causal_power_sums(p: float, max_order: int) -> np.ndarray:
-    # F(j) = sum_{m>=0} m^j p^m = sum_r S(j,r) r! p^r / (1-p)^(r+1)
+    # F(j) = sum_{m>=0} m^j p^m = sum_r S(j,r) r! p^r / (1-p)^(r+1); 171!
+    # overflows, so every F(j) past j = 170 is inf or NaN
+    if max_order > 170:
+        raise ValueError(f"moment order {max_order} exceeds 170: its r! terms overflow a float")
     s2 = stirling2_table(max_order)
     out = np.empty(max_order + 1)
     out[0] = 1.0 / (1.0 - p)
-    for j in range(1, max_order + 1):
-        acc = 0.0
-        rfact = 1.0
-        for r in range(1, j + 1):
-            rfact *= r
-            acc += s2[j, r] * rfact * p**r / (1.0 - p) ** (r + 1)
-        out[j] = acc
+    # a sum beyond the float range stays inf or NaN, which the basis rejects
+    with np.errstate(all="ignore"):
+        for j in range(1, max_order + 1):
+            acc = 0.0
+            rfact = 1.0
+            for r in range(1, j + 1):
+                rfact *= r
+                acc += s2[j, r] * rfact * p**r / (1.0 - p) ** (r + 1)
+            out[j] = acc
     return out
 
 

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +100,16 @@ def test_sample_period_scaling():
     assert np.allclose(c_half, 2.0 * c_unit)
     with pytest.raises(ValueError):
         synthesis_weights(basis, -1, 0.0)
+
+
+@pytest.mark.parametrize("delay, period, derivative", [(1e300, 1.0, 0), (4.0, 5e-324, 1)])
+def test_synthesis_weights_that_are_not_finite_raise_without_warnings(delay, period, derivative):
+    basis = orthonormal_basis(2, WeightSpec(-0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = f"synthesis weights are not finite at delay {delay}, T={period}, D={derivative}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            synthesis_weights(basis, derivative, delay, period)
 
 
 def _numpy_scalar_moment_inner(a, b, mu):

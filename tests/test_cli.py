@@ -11,6 +11,7 @@ import gc
 import json
 import math
 import re
+import warnings
 import weakref
 
 import numpy as np
@@ -461,7 +462,14 @@ def test_flow_spaced_minus_inf_sigma_exits_2(tmp_path, capsys, name):
      "temporal_sigma is too close to 0: its pole exp(temporal_sigma) rounds to 1, got -1e-300"),
     (["flow", "--spatial-sigma=-1e-300"],
      "spatial_sigma is too close to 0: its pole exp(spatial_sigma) rounds to 1, got -1e-300"),
-], ids=["design", "response", "flow-temporal", "flow-spatial"])
+    (["design", "--B", "0", "--sigma=-1e300"],
+     "sigma is too far below 0: its pole exp(sigma) underflows to 0, got -1e+300"),
+    (["flow", "--temporal-sigma=-1e300"], "temporal_sigma is too far below 0: "
+     "its pole exp(temporal_sigma) underflows to 0, got -1e+300"),
+    (["flow", "--spatial-sigma=-1e300"], "spatial_sigma is too far below 0: "
+     "its pole exp(spatial_sigma) underflows to 0, got -1e+300"),
+], ids=["design", "response", "flow-temporal", "flow-spatial",
+        "design-underflow", "flow-temporal-underflow", "flow-spatial-underflow"])
 def test_sigma_whose_pole_rounds_to_one_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "run"
     if argv[0] == "flow":
@@ -503,7 +511,9 @@ def test_response_grid_too_large_to_allocate_exits_2(capsys, points):
     (["--B", "2", "--kappa", str(2**31)],
      "(1 - p z^-1)**2147483651 has binomial coefficients beyond the float range"),
     (["--B", "2", "--D", "2", "--T", "1e-300"], "(-1/T)**D overflows at T=1e-300, D=2"),
-], ids=["degree", "kappa", "sample-period"])
+    (["--B", "2", "--kappa", "1000"],
+     "moment order 1004 exceeds 170: its r! terms overflow a float"),
+], ids=["degree", "kappa", "sample-period", "moment-order"])
 def test_design_overflowing_a_float_exits_2(capsys, argv, message):
     assert main(["design", "--sigma", "-0.5", *argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -669,6 +679,62 @@ def test_failed_flow_leaves_no_stacks(tmp_path, capsys, bad_input, message):
     # no preview, stack, sidecar, temporary file or manifest of the
     # failed run stays, and files it did not write are left alone
     assert [p.name for p in out.iterdir()] == ["dj_9999.pgm"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--t-space=5e-324"], "b must be finite"),
+    (["--temporal-kappa=200"], "moment order 204 exceeds 170"),
+    (["--t-time=1e-300"],
+     "vx.f32: frame 0 has a sample beyond the float32 range at (row 0, col 0)"),
+    ([], "frame 12 has a non-finite sample at (row 1, col 2)"),
+], ids=["t-space", "temporal-kappa", "float32-overflow", "non-finite-frame"])
+def test_failed_flow_removes_the_out_directory_it_made(tmp_path, capsys, flags, message):
+    src = _plaid_with(tmp_path, 12, 1, 2, np.nan if not flags else 0.5)
+    out = tmp_path / "run"
+    assert main(["flow", "--frames", str(src), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+    assert not out.exists()
+    # a directory the run did not make stays, even when empty
+    out.mkdir()
+    assert main(["flow", "--frames", str(src), "--out", str(out), *flags]) == 2
+    assert out.is_dir() and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["design", "--B", "2", "--sigma", "-0.5", "--q", "1e300"],
+     "synthesis weights are not finite at delay 1e+300, T=1.0, D=0"),
+    (["flow", "--t-time=5e-324"], "synthesis weights are not finite at delay 4.0, T=5e-324, D=1"),
+], ids=["design-delay", "flow-frame-period"])
+def test_synthesis_weights_beyond_the_float_range_exit_2_without_warnings(
+        tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    if argv[0] == "flow":
+        src = tmp_path / "frames.f32"
+        write_float_stack(src, np.full((6, 8, 8), 0.5))
+        argv = argv + ["--frames", str(src), "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["filter", "response"])
+@pytest.mark.parametrize("field", ["b", "a"])
+def test_empty_coefficients_exit_2_naming_file_and_field(tmp_path, capsys, command, field):
+    coeff = tmp_path / "c.json"
+    coeff.write_text(json.dumps(dict({"b": [1.0], "a": [1.0]}, **{field: []})))
+    signal = tmp_path / "x.csv"
+    write_signal_csv(signal, np.arange(8.0))
+    out = tmp_path / "y.csv"
+    argv = ["filter", "--coeff", str(coeff), "--input", str(signal), "--out", str(out)]
+    if command == "response":
+        argv = ["response", "--coeff", str(coeff), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid coefficient file {coeff}: {field} must not be empty\n")
+    assert not out.exists()
 
 
 # -------------------------------------------------------------- selftest

@@ -5,7 +5,8 @@ response and flow with numeric flags drawn from finite values, signed
 zeros, subnormal and huge magnitudes, infinities, NaN, exponent forms
 and integers outside every range.  Whatever it draws, a run ends in a
 documented exit code (0, 2, 3 or 4) with at most one ``error:`` line
-and no traceback.
+and no traceback; design and response runs also print no numpy
+RuntimeWarning, which is raised there as an error.
 
 Sizes that allocate (``--points``, ``--temporal-q``) are drawn only at
 or below 10**4 or at or above 10**15 elements: the small ones are
@@ -18,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import io
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -102,13 +104,17 @@ SWEEP = settings(max_examples=300, deadline=None, derandomize=True)
 @SWEEP
 @given(flags=_flags(DESIGN), base=base_design, fmt=st.sampled_from(["json", "csv"]))
 def test_design_sweep_ends_in_a_documented_exit(flags, base, fmt):
-    _check(["design", *base, *flags, "--format", fmt])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _check(["design", *base, *flags, "--format", fmt])
 
 
 @SWEEP
 @given(flags=_flags(RESPONSE), base=base_design, flatness=st.booleans())
 def test_response_sweep_ends_in_a_documented_exit(flags, base, flatness):
-    _check(["response", *base, *flags] + (["--report-flatness"] if flatness else []))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _check(["response", *base, *flags] + (["--report-flatness"] if flatness else []))
 
 
 @pytest.fixture(scope="module")

@@ -170,6 +170,32 @@ def test_lde_rejects_non_finite_coefficients_naming_the_field(bad):
         LdeCoefficients(b=[0.5], a=[1.0, -0.5], sample_period=bad)
 
 
+def test_lde_keeps_fresh_copies_and_leaves_the_callers_arrays_writeable():
+    x, y = np.array([0.5, 0.5]), np.array([1.0, -0.25])
+    lde = LdeCoefficients(b=x, a=y)
+    x[0], y[1] = 1.0, 0.0  # the caller's arrays stay its own
+    assert lde.b.tolist() == [0.5, 0.5] and lde.a.tolist() == [1.0, -0.25]
+    assert not np.shares_memory(x, lde.b) and not np.shares_memory(y, lde.a)
+    assert not lde.b.flags.writeable and not lde.a.flags.writeable
+
+
+@pytest.mark.parametrize("b, a, want_b, want_a, radius", [
+    ([0.25], [1.0, -0.75], [0.25, 0.0], [1.0, -0.75], 0.75),
+    ([0.5, 0.25, 0.25], [1.0], [0.5, 0.25, 0.25], [1.0, 0.0, 0.0], 0.0),
+    (0.5, 1.0, [0.5], [1.0], 0.0),
+])
+def test_lde_zero_pads_b_and_a_to_one_length(b, a, want_b, want_a, radius):
+    lde = LdeCoefficients(b=b, a=a)
+    assert lde.b.tolist() == want_b and lde.a.tolist() == want_a
+    assert lde.order == len(want_a) - 1 and lde.pole_radius == radius
+
+
+@pytest.mark.parametrize("field", ["b", "a"])
+def test_lde_rejects_an_empty_b_or_a_naming_the_field(field):
+    with pytest.raises(ValueError, match=f"^{field} must not be empty$"):
+        LdeCoefficients(**dict({"b": [1.0], "a": [1.0]}, **{field: []}))
+
+
 def test_design_validation():
     with pytest.raises(ValueError):
         FilterDesign(2, 3, WeightSpec(-1.0))  # derivative above degree

@@ -144,6 +144,25 @@ def test_float_stack_writer_aborts_on_error(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_float_stack_writer_refuses_finite_samples_beyond_float32(tmp_path):
+    path = tmp_path / "out.f32"
+    frames = np.zeros((2, 3, 4))
+    frames[1, 2, 1] = -1e300
+    frames[1, 0, 3] = np.inf  # NaN and inf pass through as given
+    frames[0, 1, 1] = np.nan
+    message = f"^{re.escape(str(path))}: frame 1 has a sample beyond the float32 range " \
+              "at \\(row 2, col 1\\)$"
+    with pytest.raises(ValueError, match=message):
+        with FloatStackWriter(path, (3, 4)) as out:
+            out.write(frames[0])
+            out.write(frames[1])
+    assert list(tmp_path.iterdir()) == []
+    frames[1, 2, 1] = np.finfo(np.float32).max  # the largest float32 is kept
+    write_float_stack(path, frames)
+    got = np.fromfile(path, dtype="<f4").reshape(frames.shape)
+    assert np.isnan(got[0, 1, 1]) and got[1, 0, 3] == np.inf and np.isfinite(got[1, 2, 1])
+
+
 def test_float_stack_writer_empty_stack(tmp_path):
     path = tmp_path / "empty.f32"
     with FloatStackWriter(path, (4, 3)):

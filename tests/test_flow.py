@@ -366,6 +366,13 @@ def test_config_rejects_a_sigma_whose_pole_rounds_to_one(name, sigma):
         FlowConfig(**{name: sigma})
 
 
+@pytest.mark.parametrize("name", ["spatial_sigma", "temporal_sigma"])
+def test_config_rejects_a_sigma_whose_pole_underflows_to_zero(name):
+    message = f"{name} is too far below 0: its pole exp({name}) underflows to 0, got -1e+300"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FlowConfig(**{name: -1e300})
+
+
 def test_delay_line_holds_only_the_frames_seen():
     # the delay line grows with the stream: a q beyond any memory still
     # runs, and a stream shorter than q yields nothing

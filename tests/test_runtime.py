@@ -17,7 +17,6 @@ from fadefilt.runtime import (
     FilterState,
     FrameFilter,
     Priming,
-    _padded,
     _row_strips,
     _tdf2_step,
     filter_causal,
@@ -179,10 +178,9 @@ def test_frame_step_in_strips_matches_one_whole_array_step(order, priming, shape
         z = lde.steady_state.reshape((-1,) + (1,) * len(shape)) * hold
     else:
         hold, z = None, np.zeros((order,) + shape)
-    b, a = _padded(lde)
     stepped, in_place = FrameFilter(lde, shape, hold=hold), FrameFilter(lde, shape, hold=hold)
     for frame in frames:
-        want = _tdf2_step(b, a, z, frame, None, np.empty(shape))
+        want = _tdf2_step(lde, z, frame, None, np.empty(shape))
         assert stepped.step(frame).tobytes() == want.tobytes()
         buffer = frame.copy()
         assert in_place.step(buffer, out=buffer) is buffer

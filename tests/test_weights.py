@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fadefilt import weights
+from fadefilt.design import FilterDesign, derive_causal_lde
 from fadefilt.weights import Causality, WeightSpec, stirling2_table, weight_moments
 
 
@@ -94,3 +96,27 @@ def test_sigma_whose_pole_rounds_to_one_is_rejected_naming_the_field(sigma):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         WeightSpec(sigma)
     assert WeightSpec(-(2.0**-53)).pole < 1.0  # the closest sigma to 0 that is kept
+
+
+@pytest.mark.parametrize("sigma", [-746.0, -1e300, -1.7976931348623157e308])
+def test_sigma_whose_pole_underflows_to_zero_is_rejected_naming_the_field(sigma):
+    assert math.exp(sigma) == 0.0
+    message = f"sigma is too far below 0: its pole exp(sigma) underflows to 0, got {sigma}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        WeightSpec(sigma)
+    assert WeightSpec(-745.0).pole > 0.0  # a subnormal pole is kept
+
+
+def test_moment_order_past_the_float_range_is_refused_before_the_table(monkeypatch):
+    real = weights.stirling2_table
+
+    def table(n):
+        assert n <= 170, f"built a Stirling table of order {n}"
+        return real(n)
+
+    monkeypatch.setattr(weights, "stirling2_table", table)
+    with pytest.raises(ValueError, match=r"^moment order 171 exceeds 170: its r! terms overflow"):
+        weight_moments(WeightSpec(-0.5, kappa=171), 0)
+    with pytest.raises(ValueError, match=r"^moment order 1004 exceeds 170"):
+        derive_causal_lde(FilterDesign(2, 0, WeightSpec(-0.5, kappa=1000)))
+    assert weight_moments(WeightSpec(-0.5, kappa=170), 0).shape == (1,)
