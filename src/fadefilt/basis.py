@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .weights import WeightSpec, weight_moments
+from .weights import WeightSpec, _real, weight_moments
 
 MAX_DEGREE = 6
 
@@ -37,7 +37,7 @@ class BasisSet:
 
     def evaluate(self, k: int, m) -> np.ndarray:
         """psi_k(m), elementwise in m."""
-        return npoly.polyval(np.asarray(m, dtype=float), self.alpha[k])
+        return npoly.polyval(_real(m, "m"), self.alpha[k])
 
     def derivative_coeffs(self, k: int, order: int) -> np.ndarray:
         """Monomial coefficients of the order-th derivative of psi_k."""
@@ -45,7 +45,7 @@ class BasisSet:
 
     def evaluate_derivative(self, k: int, order: int, m) -> np.ndarray:
         c = self.derivative_coeffs(k, order)
-        return npoly.polyval(np.asarray(m, dtype=float), c)
+        return npoly.polyval(_real(m, "m"), c)
 
 
 def _moment_inner(a: np.ndarray, b: np.ndarray, mu: list) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import acceptance
 from .closed_form import closed_form_coefficients, closed_form_for, optimal_q
-from .design import FilterDesign, derive_causal_lde, derive_noncausal_pair
+from .design import FilterDesign, _require_halves, derive_causal_lde, derive_noncausal_pair
 from .fileio import (
     FloatStackReader,
     FloatStackWriter,
@@ -227,15 +227,6 @@ def _cmd_response(args) -> int:
 
 # --------------------------------------------------------------- filter
 
-def _check_mode(filt, mode: str | None) -> None:
-    if mode == "causal" and len(filt.halves) != 1:
-        raise CliError("--mode causal needs single-filter coefficients, "
-                       "got a forward/backward pair")
-    if mode == "noncausal" and len(filt.halves) != 2:
-        raise CliError("--mode noncausal needs a forward/backward pair "
-                       "coefficient file")
-
-
 def _write_plane(out: Path, plane: np.ndarray) -> None:
     ext = out.suffix.lower()
     if ext == ".pgm":
@@ -248,7 +239,8 @@ def _write_plane(out: Path, plane: np.ndarray) -> None:
 
 def _cmd_filter(args) -> int:
     filt, _ = read_coefficients_json(args.coeff)
-    _check_mode(filt, args.mode)
+    if args.mode:
+        _require_halves(filt, 1 + (args.mode == "noncausal"), f"--mode {args.mode}")
     priming = Priming(args.priming)
     in_path = Path(args.input)
     out_path = Path(args.out)
@@ -313,7 +305,7 @@ def _cmd_flow(args) -> int:
         )
 
     out_dir = Path(args.out)
-    created = not out_dir.exists()
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
     # each result goes to the writers and its preview and is then
     # dropped, so memory does not grow with the stream's length
@@ -336,11 +328,12 @@ def _cmd_flow(args) -> int:
                 write_pgm(previews[-1], norm)
     except BaseException:
         # like the stacks, a failed run's previews do not outlive it,
-        # nor does the output directory it made
+        # nor do the directories it made, while they are empty
         for path in previews:
             path.unlink(missing_ok=True)
-        if created and not any(out_dir.iterdir()):
-            out_dir.rmdir()
+        for d in made:
+            if not any(d.iterdir()):
+                d.rmdir()
         raise
 
     manifest = {

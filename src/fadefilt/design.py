@@ -35,7 +35,7 @@ import numpy as np
 import scipy.signal
 
 from .basis import BasisSet, _check_degree, orthonormal_basis, synthesis_weights
-from .weights import Causality, WeightSpec
+from .weights import Causality, WeightSpec, _real
 
 TAIL_TOLERANCE = 1e-9
 
@@ -78,8 +78,8 @@ class FilterDesign:
 
 @dataclass(frozen=True, eq=False)
 class LdeCoefficients:
-    """Numerator b and monic denominator a of a rational filter H(z),
-    both in ascending powers of z^-1.  They are kept as read-only fresh
+    """Numerator b and monic denominator a of a rational filter H(z), both
+    real, in ascending powers of z^-1.  They are kept as read-only fresh
     copies of one length, order + 1, the shorter zero-padded, so the
     caller's arrays stay its own.  ``pole_radius`` is the largest pole
     modulus, found once by the stability check (0.0 without poles)."""
@@ -90,7 +90,7 @@ class LdeCoefficients:
     pole_radius: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        b, a = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (self.b, self.a))
+        b, a = (np.atleast_1d(_real(getattr(self, name), name)) for name in "ba")
         for name, values in (("b", b), ("a", a)):
             if not values.size:
                 raise ValueError(f"{name} must not be empty")
@@ -145,6 +145,13 @@ class NonCausalPair:
     def halves(self) -> tuple:
         """(forward, backward); the second half runs over reversed time."""
         return (self.forward, self.backward)
+
+
+def _require_halves(filt, count: int, user: str) -> None:
+    """Raise ValueError unless ``filt`` has ``count`` halves (2: a pair)."""
+    kinds = ("a causal filter", "a two-sided pair")
+    if len(filt.halves) != count:
+        raise ValueError(f"{user} needs {kinds[count - 1]}, got {kinds[2 - count]}")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .design import LdeCoefficients, NonCausalPair
+from .weights import _real
 
 
 # ---------------------------------------------------------------- PGM
@@ -81,10 +82,9 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(path, image, maxval: int = 255) -> None:
-    """Write a [0, 1] image as binary PGM; values are clipped."""
-    img = np.asarray(image, dtype=float)
-    if img.ndim != 2:
-        raise ValueError("image must be 2-D")
+    """Write a real 2-D [0, 1] image, no axis empty, as binary PGM; values
+    are clipped."""
+    img = _real(image, "image", ndim=2)
     if maxval not in (255, 65535):
         raise ValueError("maxval must be 255 or 65535")
     scaled = np.rint(np.clip(img, 0.0, 1.0) * maxval)
@@ -113,13 +113,7 @@ class PgmDirReader:
 
     def __iter__(self) -> Iterator[np.ndarray]:
         for n, path in enumerate(self.files):
-            frame = read_pgm(path)
-            if frame.shape != self.shape:
-                raise ValueError(
-                    f"{path}: frame {n} has shape {frame.shape}, "
-                    f"but frame 0 had {self.shape}"
-                )
-            yield frame
+            yield _real(read_pgm(path), f"{path}: frame {n}", shape=self.shape)
 
 
 # ------------------------------------------------- raw float32 stacks
@@ -178,7 +172,7 @@ class FloatStackReader:
 
 
 class FloatStackWriter:
-    """Context manager that appends (H, W) frames to a float32 stack.
+    """Context manager that appends real (H, W) frames to a float32 stack.
     A finite sample beyond the float32 range raises ValueError naming
     its frame, row and column; NaN and inf are written as given.  Data
     and sidecar are written under temporary names and renamed into
@@ -196,11 +190,7 @@ class FloatStackWriter:
         return self
 
     def write(self, frame) -> None:
-        data = np.asarray(frame, dtype=float)
-        if data.shape != self.shape:
-            raise ValueError(
-                f"{self.path}: frame shape {data.shape} does not match the stack's {self.shape}"
-            )
+        data = _real(frame, f"{self.path}: frame {self.frames}", shape=self.shape)
         try:
             with np.errstate(over="raise"):
                 samples = data.astype("<f4")
@@ -226,8 +216,8 @@ class FloatStackWriter:
 
 
 def write_float_stack(path, frames) -> None:
-    """Store frames as little-endian float32 with a JSON sidecar."""
-    data = np.asarray(frames, dtype=float)
+    """Store real frames as little-endian float32 with a JSON sidecar."""
+    data = _real(frames, "frames")
     if data.ndim == 2:
         data = data[None]
     if data.ndim != 3:
@@ -263,7 +253,7 @@ def read_signal_csv(path) -> np.ndarray:
 
 def write_signal_csv(path, signal) -> None:
     with open(path, "w") as f:
-        for v in np.asarray(signal, dtype=float):
+        for v in _real(signal, "signal", ndim=1):
             f.write(repr(float(v)) + "\n")
 
 
@@ -275,10 +265,8 @@ def _lde_doc(lde: LdeCoefficients) -> dict:
 
 def coefficients_doc(filt, design_info: dict | None = None) -> dict:
     """JSON-ready document for a filter or pair."""
-    if isinstance(filt, NonCausalPair):
-        doc = {"forward": _lde_doc(filt.forward), "backward": _lde_doc(filt.backward)}
-    else:
-        doc = _lde_doc(filt)
+    forward, *backward = map(_lde_doc, filt.halves)
+    doc = {"forward": forward, "backward": backward[0]} if backward else forward
     doc["T"] = float(filt.halves[0].sample_period)
     if design_info is not None:
         doc["design"] = design_info
@@ -290,8 +278,7 @@ def coefficients_json(filt, design_info: dict | None = None) -> str:
 
 
 def _lde_from_doc(doc: dict, t: float) -> LdeCoefficients:
-    return LdeCoefficients(b=np.array(doc["b"], float), a=np.array(doc["a"], float),
-                           sample_period=t)
+    return LdeCoefficients(b=doc["b"], a=doc["a"], sample_period=t)
 
 
 def coefficients_from_doc(doc: dict):

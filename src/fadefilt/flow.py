@@ -46,9 +46,10 @@ import numpy as np
 from .closed_form import ClosedForm, closed_form_coefficients
 from .design import FilterDesign, LdeCoefficients, NonCausalPair, derive_causal_lde
 from .runtime import (
-    Axis, FrameFilter, _row_strips, _stacked_column_pass, _tdf2_step, filter_image_separable,
+    Axis, FrameFilter, _frames, _row_strips, _stacked_column_pass, _tdf2_step,
+    filter_image_separable,
 )
-from .weights import Causality, WeightSpec, _check_sigma
+from .weights import Causality, WeightSpec, _check_sigma, _real
 
 
 def _setting(default, help: str):
@@ -246,6 +247,16 @@ class _FlowEngine:
                           flow=field, disparity=dj)
 
 
+def _products(x, what: str) -> np.ndarray:
+    """``x`` as a float stack of the five products, (5, ...) and at least
+    2-D; anything else raises ValueError naming ``what`` and its shape."""
+    x = _real(x, what)
+    if x.ndim < 2 or len(x) != 5:
+        raise ValueError(f"{what} has shape {x.shape}, but must stack the five products "
+                         "as (5, ...), at least 2-D")
+    return x
+
+
 def solve_flow(
     j: np.ndarray,
     cfg: FlowConfig,
@@ -256,13 +267,13 @@ def solve_flow(
     pixels with det <= threshold * trace^2 or non-positive trace are
     invalid and get zero flow (aperture problem, flat texture).
 
-    ``j`` stacks the smoothed products as (5, ...) in the order xx, xy,
-    xz, yy, yz.  ``scratch``, a (3, ...) float array, is overwritten
-    when given.  The result is written into ``out``, a FlowField of
-    float, float and bool arrays shaped like one plane of ``j``, and
-    ``out`` is returned when given; else the returned arrays are new."""
-    j = np.asarray(j, dtype=float)
-    jxx, jxy, jxz, jyy, jyz = j
+    ``j`` stacks the smoothed products as a real (5, ...) array, at least
+    2-D, in the order xx, xy, xz, yy, yz; any other ``j`` raises
+    ValueError.  ``scratch``, a (3, ...) float array, is overwritten when
+    given.  The result is written into ``out``, a FlowField of float,
+    float and bool arrays shaped like one plane of ``j``, and ``out`` is
+    returned when given; else the returned arrays are new."""
+    jxx, jxy, jxz, jyy, jyz = j = _products(j, "j")
     det, trace, t = np.empty((3,) + j.shape[1:]) if scratch is None else scratch
     vx, vy, valid = (None, None, None) if out is None else (out.vx, out.vy, out.valid)
     np.multiply(jxx, jyy, out=det)
@@ -296,8 +307,7 @@ def background_disparity(
     unsmoothed products like solve_flow's ``j``; ``scratch``, a (3, ...)
     float array, is overwritten when given.  The result is written into
     ``out`` when given."""
-    raw = np.asarray(raw, dtype=float)
-    rxx, rxy, rxz, ryy, ryz = raw
+    rxx, rxy, rxz, ryy, ryz = raw = _products(raw, "raw")
     ex, ey, t = np.empty((3,) + raw.shape[1:]) if scratch is None else scratch
     # e = raw_z - pred_z, pred_xz = -(rxx vx + rxy vy), pred_yz = -(rxy vx + ryy vy)
     np.multiply(rxx, flow.vx, out=ex)
@@ -316,8 +326,9 @@ def process_sequence(
 ) -> Iterator[FlowResult]:
     """Run the full pipeline over a frame stream, yielding one result
     per aligned frame.  Results with frame_index inside the warm-up
-    span carry warmed_up=False.  Frame 0 must be 2-D with at least one
-    row and one column, and every later frame must have its shape.
+    span carry warmed_up=False.  Frames must be real, frame 0 2-D with
+    at least one row and one column, and every later frame of its shape;
+    a frame that is not raises ValueError naming its index.
     Frames are only read, so the stream may reuse one buffer.  Each
     result owns its arrays.
 
@@ -329,15 +340,8 @@ def process_sequence(
     if cfg is None:
         cfg = FlowConfig()
     engine: _FlowEngine | None = None
-    for n, frame in enumerate(stream):
-        frame = np.asarray(frame, dtype=float)
-        if engine is None:
-            if frame.ndim != 2 or 0 in frame.shape:
-                raise ValueError(f"frame 0 has shape {frame.shape}, but frames must be "
-                                 "2-D with at least one row and one column")
-            engine = _FlowEngine(cfg, frame)
-        elif frame.shape != engine.shape:
-            raise ValueError(f"frame {n} has shape {frame.shape}, but frame 0 had {engine.shape}")
+    for frame in _frames(stream, ndim=2):
+        engine = engine or _FlowEngine(cfg, frame)
         result = engine.step(frame)
         if result is not None:
             yield result

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.signal
 
-from .design import LdeCoefficients
+from .design import LdeCoefficients, _require_halves
+from .weights import _real
 
 DB_FLOOR = -300.0
 _ROUNDING = 32 * float(np.finfo(float).eps)  # times n and the l1 mass: an n-term sum's rounding
@@ -97,9 +98,9 @@ def _derivative_series(filt, omega: np.ndarray):
 
 
 def frequency_response(filt, omega) -> np.ndarray:
-    """Complex H(e^{jw}); for pairs, forward(w) + backward(-w)."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    return next(_derivative_series(filt, omega))[0]
+    """Complex H(e^{jw}) on a real grid, flattened; for pairs,
+    forward(w) + backward(-w)."""
+    return next(_derivative_series(filt, _real(omega, "omega").ravel()))[0]
 
 
 def _value_and_delay(filt, omega: np.ndarray):
@@ -147,16 +148,16 @@ def _nonzero(halves, dens, hs) -> np.ndarray:
 
 
 def group_delay(filt, omega) -> np.ndarray:
-    """Analytic -d(arg H)/dw in samples, with the exact limit at zeros
-    of the response."""
-    return _value_and_delay(filt, np.atleast_1d(np.asarray(omega, dtype=float)))[1]
+    """Analytic -d(arg H)/dw in samples on a real grid, flattened, with
+    the exact limit at zeros of the response."""
+    return _value_and_delay(filt, _real(omega, "omega").ravel())[1]
 
 
 def evaluate_response(filt, omega_grid) -> ResponseTable:
-    """Sample the response on a finite grid in [0, pi].  Phase is
-    unwrapped by nearest-branch continuation along the grid; magnitudes
-    below the -300 dB floor are clamped there."""
-    omega = np.array(omega_grid, dtype=float, ndmin=1)
+    """Sample the response on a real, finite grid in [0, pi], flattened.
+    Phase is unwrapped by nearest-branch continuation along the grid;
+    magnitudes below the -300 dB floor are clamped there."""
+    omega = _real(omega_grid, "omega grid").flatten()
     if not np.all(np.isfinite(omega)):
         raise ValueError("omega grid must be finite")
     if omega.size and (omega.min() < 0.0 or omega.max() > math.pi + 1e-12):
@@ -218,7 +219,8 @@ def white_noise_gain(lde: LdeCoefficients) -> float:
     """Variance reduction factor sum_m h[m]^2 for unit-variance white
     input.  The impulse response is run in blocks and the sum truncated
     once a geometric envelope bound on the remaining tail drops below
-    _WNG_TOLERANCE times the partial sum."""
+    _WNG_TOLERANCE times the partial sum; causal filters only."""
+    _require_halves(lde, 1, "white_noise_gain")
     b, a, rho, n = lde.b, lde.a, lde.pole_radius, lde.order
     block = 512
     x = np.zeros(block)

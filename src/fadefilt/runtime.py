@@ -40,7 +40,8 @@ from typing import Iterable, Iterator
 import numpy as np
 import scipy.signal
 
-from .design import LdeCoefficients, NonCausalPair
+from .design import LdeCoefficients, NonCausalPair, _require_halves
+from .weights import _real
 
 
 class Priming(enum.Enum):
@@ -74,7 +75,7 @@ def _step_kernel(order: int):
 
 class FilterState:
     """Single-channel streaming filter.  Mutable and single-owner; make
-    one per concurrent stream.  ``step(x)`` advances one sample and
+    one per concurrent stream.  ``step(x)`` advances one real sample and
     returns the output as a Python float; it is the compiled kernel for
     the filter's order, with the coefficients and the delay-line list
     bound once."""
@@ -95,8 +96,8 @@ class FilterState:
         self._z[:] = [0.0] * len(self._z)
 
     def prime_constant(self, x0: float) -> None:
-        """Jump to the steady state for constant input x0."""
-        self._z[:] = (self.coefficients.steady_state * x0).tolist()
+        """Jump to the steady state for constant input x0, a real number."""
+        self._z[:] = (self.coefficients.steady_state * _real(x0, "x0", ndim=0)).tolist()
 
 
 # Values in one strip of a per-pixel pass: 16 K float64 values, 128 KB
@@ -118,7 +119,8 @@ class FrameFilter:
     one independent transposed direct-form II state per pixel.  A step
     runs in row strips of axis 0 (see ``_row_strips``), which keeps each
     strip's operands in cache and needs one strip of scratch; per pixel
-    the operations are those of one whole-frame step."""
+    the operations are those of one whole-frame step.  ``hold`` and each
+    frame must be real and of the filter's shape."""
 
     def __init__(self, coefficients: LdeCoefficients, shape, hold: np.ndarray | None = None):
         _require_halves(coefficients, 1, "FrameFilter")
@@ -126,9 +128,7 @@ class FrameFilter:
         n = coefficients.order
         self._shape = shape = tuple(shape)
         if hold is not None:
-            hold = np.asarray(hold, float)
-            if hold.shape != shape:
-                raise ValueError(f"hold shape {hold.shape} does not match the filter's {shape}")
+            hold = _real(hold, "hold", shape=shape)
             self.state = coefficients.steady_state.reshape((n,) + (1,) * len(shape)) * hold
         else:
             self.state = np.zeros((n,) + shape)
@@ -141,9 +141,7 @@ class FrameFilter:
     def step(self, frame: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Advance every pixel by one frame and return the output frame,
         written into ``out`` when given; ``out`` may be ``frame`` itself."""
-        x, t = np.asarray(frame, dtype=float), self._scratch
-        if x.shape != self._shape:
-            raise ValueError(f"frame shape {x.shape} does not match the filter's {self._shape}")
+        x, t = _real(frame, "frame", shape=self._shape), self._scratch
         if not x.ndim:
             return _tdf2_step(self.coefficients, self.state, x, out, t)
         y = np.empty(x.shape) if out is None else out
@@ -220,45 +218,29 @@ def _halves_pass(filt, x: np.ndarray, axis: int, priming: Priming, out=None) -> 
     return out
 
 
-def _require_halves(filt, count: int, user: str) -> None:
-    """Raise ValueError unless ``filt`` has ``count`` halves."""
-    kinds = ("a causal filter", "a two-sided pair")
-    if len(filt.halves) != count:
-        raise ValueError(f"{user} needs {kinds[count - 1]}, got {kinds[2 - count]}")
-
-
-def _signal(signal) -> np.ndarray:
-    x = np.asarray(signal, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("signal must be a non-empty 1-D array")
-    return x
-
-
 def filter_causal(
     lde: LdeCoefficients, signal, priming: Priming = Priming.ZERO
 ) -> np.ndarray:
-    """Run the LDE left to right over a 1-D signal."""
+    """Run the LDE left to right over a real, non-empty 1-D signal."""
     _require_halves(lde, 1, "filter_causal")
-    return _halves_pass(lde, _signal(signal), 0, priming)
+    return _halves_pass(lde, _real(signal, "signal", ndim=1), 0, priming)
 
 
 def filter_noncausal(
     pair: NonCausalPair, signal, priming: Priming = Priming.HOLD_FIRST
 ) -> np.ndarray:
-    """Forward pass plus reversed backward pass, summed."""
+    """Forward plus reversed backward pass over a real, non-empty 1-D signal."""
     _require_halves(pair, 2, "filter_noncausal")
-    return _halves_pass(pair, _signal(signal), 0, priming)
+    return _halves_pass(pair, _real(signal, "signal", ndim=1), 0, priming)
 
 
 def filter_image_separable(
     filt, image, axis: Axis, priming: Priming = Priming.HOLD_FIRST, out=None
 ) -> np.ndarray:
     """Apply a 1-D filter independently to every row (Axis.ROWS, i.e.
-    along x) or every column (Axis.COLS, along y) of a 2-D image.  The
-    result is written into ``out`` when given."""
-    img = np.asarray(image, dtype=float)
-    if img.ndim != 2:
-        raise ValueError("image must be 2-D")
+    along x) or every column (Axis.COLS, along y) of a real 2-D image,
+    no axis empty.  The result is written into ``out`` when given."""
+    img = _real(image, "image", ndim=2)
     return _halves_pass(filt, img, 1 if axis is Axis.ROWS else 0, priming, out)
 
 
@@ -269,15 +251,21 @@ def filter_time_stack(
 ) -> Iterator[np.ndarray]:
     """Lazily filter a frame stream along time, one state per pixel.
     Frame streams are causal only; use the image path for two-sided
-    spatial work.  A frame shaped unlike frame 0 raises ValueError
-    naming its index and both shapes."""
+    spatial work.  A frame that is complex or shaped unlike frame 0
+    raises ValueError naming its index."""
     _require_halves(lde, 1, "a frame stream")
     ff = None
-    for n, frame in enumerate(frames):
-        frame = np.asarray(frame, dtype=float)
-        if ff is None:
-            shape = frame.shape
-            ff = FrameFilter(lde, shape, hold=frame if priming is Priming.HOLD_FIRST else None)
-        elif frame.shape != shape:
-            raise ValueError(f"frame {n} has shape {frame.shape}, but frame 0 had {shape}")
+    for frame in _frames(frames):
+        hold = frame if priming is Priming.HOLD_FIRST else None
+        ff = ff or FrameFilter(lde, frame.shape, hold=hold)
         yield ff.step(frame)
+
+
+def _frames(stream: Iterable, ndim: int | None = None) -> Iterator[np.ndarray]:
+    """The frames of ``stream`` as _real checks them: frame 0 with ``ndim``
+    axes, none empty, when ``ndim`` is given, and every later frame of its shape."""
+    shape = None
+    for n, frame in enumerate(stream):
+        frame = _real(frame, f"frame {n}", ndim=ndim if shape is None else None, shape=shape)
+        shape = frame.shape
+        yield frame

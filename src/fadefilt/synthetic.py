@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .weights import _real
+
 
 def translating_plaid(
     n_frames: int,
@@ -40,7 +42,7 @@ def add_gaussian_blob(
 ) -> np.ndarray:
     """Superimpose a moving Gaussian spot (sigma = radius/2, center in
     (x, y) pixels at frame 0) and clip to [0, 1]."""
-    frames = np.asarray(frames, dtype=float)
+    frames = _real(frames, "frames", ndim=3)
     n_frames, height, width = frames.shape
     y, x = np.mgrid[0:height, 0:width].astype(float)
     out = np.empty_like(frames)

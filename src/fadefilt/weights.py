@@ -31,6 +31,21 @@ class Causality(enum.Enum):
     TWO_SIDED = "two-sided"
 
 
+def _real(x, what: str, ndim: int | None = None, shape: tuple | None = None) -> np.ndarray:
+    """``x`` as a float array, ``x`` itself if it is one; ValueError naming
+    ``what`` if it is complex, has another number of axes than ``ndim`` or
+    an empty one (given ``ndim``), or another shape (given ``shape``)."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise ValueError(f"{what} must be real, got {x.dtype} values")
+    x = x.astype(float, copy=False)
+    if ndim is not None and (x.ndim != ndim or not x.size):
+        raise ValueError(f"{what} has shape {x.shape}, but must be {ndim}-D with no empty axis")
+    if shape is not None and x.shape != shape:
+        raise ValueError(f"{what} has shape {x.shape}, but must have shape {shape}")
+    return x
+
+
 def _check_sigma(name: str, sigma: float) -> None:
     """Raise ValueError, naming the field, unless ``sigma`` is finite
     and < 0 and its pole exp(sigma) lies in (0, 1): a sigma within about
@@ -74,7 +89,7 @@ class WeightSpec:
 
     def values(self, m) -> np.ndarray:
         """Evaluate w(m) elementwise (m may be negative for two-sided)."""
-        m = np.asarray(m, dtype=float)
+        m = _real(m, "m")
         if self.causality is Causality.CAUSAL:
             return np.where(m >= 0, np.abs(m) ** self.kappa * np.exp(self.sigma * m), 0.0)
         return self.pole ** np.abs(m)

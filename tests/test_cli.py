@@ -303,7 +303,7 @@ def test_filter_f32_stack_bytes(tmp_path, axis):
         "frames": 7, "height": 5, "width": 6}
 
 
-def test_filter_mode_checks(tmp_path):
+def test_filter_mode_checks(tmp_path, capsys):
     causal = design_file(tmp_path, "c.json")
     pair = tmp_path / "p.json"
     assert main(["design", "--B", "2", "--D", "1", "--pole", "0.5",
@@ -315,6 +315,9 @@ def test_filter_mode_checks(tmp_path):
                  *common]) == 2
     assert main(["filter", "--coeff", str(pair), "--mode", "causal",
                  *common]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --mode noncausal needs a two-sided pair, got a causal filter",
+        "error: --mode causal needs a causal filter, got a two-sided pair"]
     # pairs run backward passes, so a frame stream cannot host one
     stack = tmp_path / "in.f32"
     write_float_stack(stack, np.zeros((6, 4, 4)))
@@ -699,6 +702,13 @@ def test_failed_flow_removes_the_out_directory_it_made(tmp_path, capsys, flags, 
     out.mkdir()
     assert main(["flow", "--frames", str(src), "--out", str(out), *flags]) == 2
     assert out.is_dir() and not any(out.iterdir())
+    # every directory a nested --out made goes, deepest first; one that existed stays
+    nested = tmp_path / "a" / "b" / "run"
+    assert main(["flow", "--frames", str(src), "--out", str(nested), *flags]) == 2
+    assert not (tmp_path / "a").exists()
+    (tmp_path / "a").mkdir()
+    assert main(["flow", "--frames", str(src), "--out", str(nested), *flags]) == 2
+    assert (tmp_path / "a").is_dir() and not any((tmp_path / "a").iterdir())
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -129,7 +129,8 @@ def test_float_stack_writer_appears_only_when_closed(tmp_path):
         for frame in frames:
             out.write(frame)
         assert not path.exists() and not (tmp_path / "out.f32.json").exists()
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: frame 3 has shape "
+                           r"\(5, 2\), but must have shape \(2, 5\)$"):
             out.write(np.zeros((5, 2)))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.f32", "out.f32.json"]
     assert path.read_bytes() == frames.astype("<f4").tobytes()

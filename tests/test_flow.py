@@ -297,6 +297,18 @@ def test_mis_shaped_frame_is_rejected_not_broadcast():
         list(process_sequence(frames))
 
 
+@pytest.mark.parametrize("shape", [(4, 2, 2), (6, 2, 2), (5,), ()])
+def test_a_product_stack_of_other_than_five_planes_is_rejected_naming_the_argument(shape):
+    rule = re.escape(f"has shape {shape}, but must stack the five products as (5, ...), "
+                     "at least 2-D")
+    with pytest.raises(ValueError, match=f"^j {rule}$"):
+        solve_flow(np.ones(shape), FlowConfig())
+    plane = shape[1:]
+    flow = FlowField(vx=np.zeros(plane), vy=np.zeros(plane), valid=np.ones(plane, bool))
+    with pytest.raises(ValueError, match=f"^raw {rule}$"):
+        background_disparity(np.ones(shape), flow)
+
+
 @pytest.mark.parametrize("shape", [(10, 0, 5), (10, 5, 0), (10, 5), (10, 2, 3, 4)],
                          ids=["no-rows", "no-columns", "1-D", "3-D"])
 def test_frame_zero_that_is_not_a_non_empty_plane_is_rejected(shape):

@@ -366,6 +366,13 @@ def test_white_noise_gain_of_one_pole():
     assert white_noise_gain(lde) == pytest.approx((1 - p) ** 2 / (1 - p**2), rel=1e-12)
 
 
+def test_white_noise_gain_of_a_pair_is_a_value_error():
+    pair = closed_form_coefficients(ClosedForm.SMOOTHER_NONCAUSAL, P_REF)
+    with pytest.raises(ValueError,
+                       match="^white_noise_gain needs a causal filter, got a two-sided pair$"):
+        white_noise_gain(pair)
+
+
 def test_white_noise_gain_of_a_pure_gain():
     from fadefilt.design import LdeCoefficients
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -346,14 +347,22 @@ def test_two_sided_design_runtime_round_trip():
     assert np.allclose(y[30:-30], want[30:-30], atol=1e-7)
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3), (3,), (1, 2, 2)])
+@pytest.mark.parametrize("axis", list(Axis))
+def test_image_that_is_not_a_non_empty_plane_is_rejected_naming_its_shape(shape, axis):
+    message = re.escape(f"image has shape {shape}, but must be 2-D with no empty axis")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        filter_image_separable(PAIR, np.ones(shape), axis)
+
+
 def test_frame_filter_rejects_a_hold_of_another_shape():
-    with pytest.raises(ValueError, match=r"^hold shape \(4, 3\) does not match the filter's \(3, 4\)$"):
+    with pytest.raises(ValueError, match=r"^hold has shape \(4, 3\), but must have shape \(3, 4\)$"):
         FrameFilter(SMOOTHER, (3, 4), hold=np.ones((4, 3)))
 
 
 def test_frame_filter_step_rejects_a_frame_of_another_shape():
     ff = FrameFilter(SMOOTHER, (3, 4))
-    with pytest.raises(ValueError, match=r"^frame shape \(4, 3\) does not match the filter's \(3, 4\)$"):
+    with pytest.raises(ValueError, match=r"^frame has shape \(4, 3\), but must have shape \(3, 4\)$"):
         ff.step(np.ones((4, 3)))
 
 
