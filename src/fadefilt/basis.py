@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .weights import WeightSpec, _real, weight_moments
+from .weights import WeightSpec, _period, _real, _whole, weight_moments
 
 MAX_DEGREE = 6
 
@@ -62,22 +62,15 @@ def _moment_inner(a: np.ndarray, b: np.ndarray, mu: list) -> float:
     return acc
 
 
-def _check_degree(degree: int) -> None:
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    if degree > MAX_DEGREE:
-        raise ValueError(f"degree {degree} exceeds supported maximum {MAX_DEGREE}")
-
-
 def orthonormal_basis(degree: int, weight: WeightSpec) -> BasisSet:
     """Build psi_0 .. psi_degree by modified Gram-Schmidt on 1, m, m^2, ...
 
     One re-orthogonalization pass keeps the projections clean at the
-    higher degrees.  Degrees above MAX_DEGREE are rejected: the monomial
-    moment matrix is too ill-conditioned past that point to certify the
-    result, and no supported design needs it.
+    higher degrees.  The degree is an integer in 0..MAX_DEGREE: the
+    monomial moment matrix is too ill-conditioned past that point to
+    certify the result, and no supported design needs it.
     """
-    _check_degree(degree)
+    degree = _whole(degree, "degree", 0, MAX_DEGREE)
     mu = weight_moments(weight, 2 * degree).tolist()
     n = degree + 1
     rows = np.eye(n)
@@ -104,12 +97,11 @@ def synthesis_weights(
 
         c_k = (-1 / T)**derivative * psi_k^(derivative)(delay)
 
-    A pure smoother is derivative = 0; then c_k = psi_k(delay).
+    for an integer derivative >= 0 and a finite T > 0.  A pure smoother
+    is derivative = 0; then c_k = psi_k(delay).
     """
-    if derivative < 0:
-        raise ValueError("derivative order must be >= 0")
-    if sample_period <= 0.0:
-        raise ValueError("sample_period must be > 0")
+    _whole(derivative, "derivative order")
+    _period(sample_period, "sample_period")
     try:
         scale = (-1.0 / sample_period) ** derivative
     except OverflowError:

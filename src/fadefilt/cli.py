@@ -57,7 +57,7 @@ from .runtime import (
     filter_noncausal,
     filter_time_stack,
 )
-from .weights import Causality, WeightSpec
+from .weights import Causality, WeightSpec, _pole, _whole
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAILED = 1
@@ -104,9 +104,7 @@ def _resolve_sigma(args) -> float:
         raise CliError("give exactly one of --sigma or --pole")
     if args.sigma is not None:
         return args.sigma
-    if not (0.0 < args.pole < 1.0):
-        raise CliError(f"--pole must lie in (0, 1), got {args.pole}")
-    return math.log(args.pole)
+    return math.log(_pole(args.pole, "--pole"))
 
 
 def _design_from_args(args) -> FilterDesign:
@@ -132,8 +130,6 @@ def _design_from_args(args) -> FilterDesign:
         except ValueError:
             raise CliError(f"--q must be a number or 'auto', got {args.q!r}") from None
 
-    if causality is Causality.TWO_SIDED and q != 0.0:
-        raise CliError("noncausal designs are zero-phase; --q must be 0")
     weight = WeightSpec(sigma=sigma, kappa=args.kappa, causality=causality)
     return FilterDesign(degree=args.B, derivative=args.D, weight=weight,
                         delay=q, sample_period=args.T)
@@ -214,10 +210,7 @@ def _cmd_response(args) -> int:
         filt = _coefficients_for(_design_from_args(args), args.source)
     else:
         raise CliError("give --coeff or inline design flags")
-    if args.points < 2:
-        raise CliError("--points must be at least 2")
-    if args.points > sys.maxsize // 16:  # a complex column past numpy's largest array
-        raise CliError(f"--points {args.points} is more than an array can hold")
+    _whole(args.points, "--points", 2, sys.maxsize // 16)  # the largest complex column numpy holds
     grid = np.linspace(0.0, math.pi, args.points)
     table = evaluate_response(filt, grid)
     flat = flatness_report(filt) if args.report_flatness else None

@@ -18,7 +18,7 @@ import enum
 import math
 
 from .design import LdeCoefficients, NonCausalPair, binomial_denominator
-from .weights import Causality
+from .weights import _FLOAT_MAX, Causality, _period, _pole
 
 import numpy as np
 
@@ -60,11 +60,12 @@ def closed_form_coefficients(
 
     Returns LdeCoefficients for the causal forms and a NonCausalPair
     for the two-sided ones (q is ignored there; the symmetric designs
-    have no delay freedom).
+    have no delay freedom), for a pole in (0, 1), a finite T > 0 and a
+    finite q whose square is a float.
     """
-    if not (0.0 < pole < 1.0):
-        raise ValueError(f"pole must lie in (0, 1), got {pole}")
-    p, T = pole, sample_period
+    p, T = _pole(pole, "pole"), _period(sample_period, "sample_period")
+    if not abs(q) < math.sqrt(_FLOAT_MAX):
+        raise ValueError(f"q must be finite with a finite square, got {q}")
 
     if form is ClosedForm.SMOOTHER_K0:
         a = binomial_denominator(p, 3)
@@ -130,11 +131,9 @@ def closed_form_coefficients(
 
 
 def optimal_q(form: ClosedForm, pole: float) -> float:
-    """Delay that places a numerator zero at z = -1 for the causal
-    forms.  The two-sided forms have no such knob (q is fixed at 0)."""
-    if not (0.0 < pole < 1.0):
-        raise ValueError(f"pole must lie in (0, 1), got {pole}")
-    p = pole
+    """Delay that places a numerator zero at z = -1 for the causal forms,
+    pole in (0, 1).  The two-sided forms have no such knob (q is fixed at 0)."""
+    p = _pole(pole, "pole")
     if form is ClosedForm.SMOOTHER_K0:
         return (4 * p + 2 - math.sqrt(2 * (p**2 + 4 * p + 1))) / (2 * (1 - p))
     if form is ClosedForm.DIFFERENTIATOR_K0:

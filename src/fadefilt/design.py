@@ -34,15 +34,17 @@ from functools import cached_property
 import numpy as np
 import scipy.signal
 
-from .basis import BasisSet, _check_degree, orthonormal_basis, synthesis_weights
-from .weights import Causality, WeightSpec, _real
+from .basis import MAX_DEGREE, BasisSet, orthonormal_basis, synthesis_weights
+from .weights import _FLOAT_MAX, Causality, WeightSpec, _period, _real, _whole
 
 TAIL_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class FilterDesign:
-    """Complete parameter set for one smoother/differentiator."""
+    """Complete parameter set for one smoother/differentiator: integers
+    0 <= derivative <= degree <= MAX_DEGREE, a finite delay (0 if two-sided)
+    and a finite sample period > 0."""
 
     degree: int
     derivative: int
@@ -51,14 +53,10 @@ class FilterDesign:
     sample_period: float = 1.0
 
     def __post_init__(self):
-        if self.derivative < 0 or self.derivative > self.degree:
-            raise ValueError(
-                f"derivative order {self.derivative} outside [0, degree={self.degree}]"
-            )
-        _check_degree(self.degree)
-        if not (math.isfinite(self.sample_period) and self.sample_period > 0.0):
-            raise ValueError(f"sample_period must be finite and > 0, got {self.sample_period}")
-        if not math.isfinite(self.delay):
+        degree = _whole(self.degree, "degree", 0, MAX_DEGREE)
+        _whole(self.derivative, "derivative order", 0, degree)
+        _period(self.sample_period, "sample_period")
+        if not abs(self.delay) <= _FLOAT_MAX:
             raise ValueError(f"delay must be finite, got {self.delay}")
         if self.weight.causality is Causality.TWO_SIDED and self.delay != 0.0:
             raise ValueError("two-sided designs require delay == 0")
@@ -98,8 +96,7 @@ class LdeCoefficients:
                 raise ValueError(f"{name} must be finite, got {values.tolist()}")
         if a[0] != 1.0:
             raise ValueError("denominator must be monic (a[0] == 1)")
-        if not (math.isfinite(self.sample_period) and self.sample_period > 0.0):
-            raise ValueError(f"sample_period must be finite and > 0, got {self.sample_period}")
+        _period(self.sample_period, "sample_period")
         ba = np.zeros((2, max(b.size, a.size)))
         ba[0, : b.size], ba[1, : a.size] = b, a
         radius = float(np.max(np.abs(np.roots(ba[1])), initial=0.0))
@@ -165,8 +162,9 @@ class SpectrumFilterBank:
 
 
 def binomial_denominator(pole: float, multiplicity: int) -> np.ndarray:
-    """Coefficients of (1 - pole*z^-1)**multiplicity, ascending; a
-    binomial coefficient beyond the float range raises ValueError."""
+    """Coefficients of (1 - pole*z^-1)**multiplicity, an integer >= 0,
+    ascending; a binomial coefficient beyond the float range raises ValueError."""
+    multiplicity = _whole(multiplicity, "multiplicity")
     try:
         return np.array(
             [math.comb(multiplicity, i) * (-pole) ** i for i in range(multiplicity + 1)]
@@ -193,9 +191,9 @@ def pole_multiplicity(lde: LdeCoefficients) -> tuple[float, int]:
 def impulse_response_prefix(design: FilterDesign, length: int) -> np.ndarray:
     """First ``length`` samples of the exact causal impulse response
     h(m) = sum_k c_k psi_k(m) w(m).  For two-sided designs this is the
-    m >= 0 half of the symmetric response (no center split applied)."""
-    if length < design.degree + design.kappa + 2:
-        raise ValueError("length must cover the full numerator support")
+    m >= 0 half of the symmetric response (no center split applied);
+    ``length`` is an integer >= degree + kappa + 2, the numerator support."""
+    length = _whole(length, "length", design.degree + design.kappa + 2)
     basis = orthonormal_basis(design.degree, design.weight)
     c = synthesis_weights(basis, design.derivative, design.delay, design.sample_period)
     return _weighted_combination(basis, c, design.weight, np.arange(length, dtype=float))

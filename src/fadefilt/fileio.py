@@ -28,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .design import LdeCoefficients, NonCausalPair
-from .weights import _real
+from .weights import _real, _whole
 
 
 # ---------------------------------------------------------------- PGM
@@ -136,16 +136,8 @@ class FloatStackReader:
         meta = json.loads(_sidecar(path).read_text())
         if not isinstance(meta, dict):
             raise ValueError(f"bad sidecar for {path}: expected a JSON object")
-        dims = []
-        for field, least in (("width", 1), ("height", 1), ("frames", 0)):
-            value = meta.get(field)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                kind = "positive" if least else "non-negative"
-                raise ValueError(
-                    f"bad sidecar for {path}: {field!r} must be a {kind} integer, got {value!r}"
-                )
-            dims.append(value)
-        w, h, nf = dims
+        w, h, nf = (_whole(meta.get(field), f"bad sidecar for {path}: {field!r}", least)
+                    for field, least in (("width", 1), ("height", 1), ("frames", 0)))
         size = self.path.stat().st_size
         if size != 4 * nf * h * w:
             raise ValueError(
@@ -172,7 +164,8 @@ class FloatStackReader:
 
 
 class FloatStackWriter:
-    """Context manager that appends real (H, W) frames to a float32 stack.
+    """Context manager that appends real (H, W) frames to a float32 stack;
+    the shape is two integers >= 1, checked before any file is opened.
     A finite sample beyond the float32 range raises ValueError naming
     its frame, row and column; NaN and inf are written as given.  Data
     and sidecar are written under temporary names and renamed into
@@ -181,7 +174,8 @@ class FloatStackWriter:
 
     def __init__(self, path, shape):
         self.path = Path(path)
-        self.shape = tuple(shape)
+        height, width = shape  # exactly two sizes, or ValueError
+        self.shape = (_whole(height, f"{path}: height", 1), _whole(width, f"{path}: width", 1))
         self.frames = 0
         self._partial = self.path.with_name(self.path.name + ".partial")
 

@@ -49,7 +49,7 @@ from .runtime import (
     Axis, FrameFilter, _frames, _row_strips, _stacked_column_pass, _tdf2_step,
     filter_image_separable,
 )
-from .weights import Causality, WeightSpec, _check_sigma, _real
+from .weights import _FLOAT_MAX, WeightSpec, _check_sigma, _period, _pole, _real, _whole
 
 
 def _setting(default, help: str):
@@ -76,18 +76,15 @@ class FlowConfig:
     def __post_init__(self):
         _check_sigma("spatial_sigma", self.spatial_sigma)
         _check_sigma("temporal_sigma", self.temporal_sigma)
-        if not (0.0 < self.smoothing_pole < 1.0):
-            raise ValueError("smoothing_pole must lie in (0, 1)")
-        if not (math.isfinite(self.det_threshold) and self.det_threshold >= 0.0):
+        _pole(self.smoothing_pole, "smoothing_pole")
+        if not 0.0 <= self.det_threshold <= _FLOAT_MAX:
             raise ValueError(f"det_threshold must be finite and >= 0, got {self.det_threshold}")
-        if not (self.temporal_q >= 0.0 and float(self.temporal_q).is_integer()):
-            raise ValueError(
-                f"temporal_q must be a whole number of frames >= 0, got {self.temporal_q}"
-            )
-        if self.temporal_kappa < 0:
-            raise ValueError("temporal_kappa must be >= 0")
-        if not all(math.isfinite(t) and t > 0.0 for t in (self.t_space, self.t_time)):
-            raise ValueError("sample periods must be finite and > 0")
+        if not (0.0 <= self.temporal_q <= _FLOAT_MAX and float(self.temporal_q).is_integer()):
+            raise ValueError(f"temporal_q must be a whole number of frames >= 0, "
+                             f"got {self.temporal_q}")
+        _whole(self.temporal_kappa, "temporal_kappa")
+        _period(self.t_space, "t_space")
+        _period(self.t_time, "t_time")
 
     @property
     def frame_delay(self) -> int:

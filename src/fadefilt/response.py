@@ -22,14 +22,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.signal
 
 from .design import LdeCoefficients, _require_halves
-from .weights import _real
+from .weights import _real, _whole
 
 DB_FLOOR = -300.0
 _ROUNDING = 32 * float(np.finfo(float).eps)  # times n and the l1 mass: an n-term sum's rounding
@@ -195,13 +194,11 @@ def write_response_csv(table: ResponseTable, out, flatness=None) -> None:
 
 
 def flatness_report(filt, max_order: int = 3) -> np.ndarray:
-    """Magnitudes of the first max_order derivatives of |H(w)|^2 at
-    w = 0, exact from the derivative series by Leibniz's rule on
-    H conj(H).  At w = 0 each H^(i) lies on the axis j^i R, so every
-    product of an odd order is imaginary and odd orders come out 0."""
-    if (isinstance(max_order, bool) or not isinstance(max_order, numbers.Integral)
-            or not 1 <= max_order <= 6):
-        raise ValueError(f"max_order must be an integer in 1..6, got {max_order!r}")
+    """Magnitudes of the first max_order (an integer in 1..6) derivatives
+    of |H(w)|^2 at w = 0, exact from the derivative series by Leibniz's
+    rule on H conj(H).  At w = 0 each H^(i) lies on the axis j^i R, so
+    every product of an odd order is imaginary and odd orders come out 0."""
+    _whole(max_order, "max_order", 1, 6)
     series = itertools.islice(_derivative_series(filt, np.zeros(1)), max_order + 1)
     h = [complex(value[0]) for value, _ in series]
     return np.array([

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .weights import _real
+from .weights import _real, _whole
 
 
 def translating_plaid(
@@ -20,7 +20,9 @@ def translating_plaid(
 ) -> np.ndarray:
     """Sum of an x and a y sinusoid rigidly translating at ``velocity``
     (vx, vy) pixels per frame.  Frequencies are in cycles per pixel.
-    Returns a (frames, height, width) stack."""
+    Returns a (frames, height, width) stack; each size is an integer >= 1."""
+    for size, name in ((n_frames, "n_frames"), (height, "height"), (width, "width")):
+        _whole(size, name, 1)
     y, x = np.mgrid[0:height, 0:width].astype(float)
     vx, vy = velocity
     frames = np.empty((n_frames, height, width))

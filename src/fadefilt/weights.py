@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+_FLOAT_MAX = float(np.finfo(float).max)  # x <= _FLOAT_MAX is False for NaN, inf, ints past it
 
 
 class Causality(enum.Enum):
@@ -38,7 +41,10 @@ def _real(x, what: str, ndim: int | None = None, shape: tuple | None = None) -> 
     x = np.asarray(x)
     if x.dtype.kind == "c":
         raise ValueError(f"{what} must be real, got {x.dtype} values")
-    x = x.astype(float, copy=False)
+    try:
+        x = x.astype(float, copy=False)
+    except OverflowError:  # a Python int beyond the float range
+        raise ValueError(f"{what} has a value beyond the float range") from None
     if ndim is not None and (x.ndim != ndim or not x.size):
         raise ValueError(f"{what} has shape {x.shape}, but must be {ndim}-D with no empty axis")
     if shape is not None and x.shape != shape:
@@ -46,12 +52,34 @@ def _real(x, what: str, ndim: int | None = None, shape: tuple | None = None) -> 
     return x
 
 
+def _whole(x, what: str, least: int = 0, most: float = math.inf) -> int:
+    """``x`` as an int if it is an integer (not a bool) in least..most."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or not least <= x <= most:
+        bound = f">= {least}" if most == math.inf else f"in {least}..{most}"
+        raise ValueError(f"{what} must be an integer {bound}, got {x!r}")
+    return int(x)
+
+
+def _period(t, what: str):
+    """``t`` if it is a sample period: finite and > 0."""
+    if not 0.0 < t <= _FLOAT_MAX:
+        raise ValueError(f"{what} must be finite and > 0, got {t}")
+    return t
+
+
+def _pole(p, what: str):
+    """``p`` if it is a discount factor in (0, 1)."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"{what} must lie in (0, 1), got {p}")
+    return p
+
+
 def _check_sigma(name: str, sigma: float) -> None:
     """Raise ValueError, naming the field, unless ``sigma`` is finite
     and < 0 and its pole exp(sigma) lies in (0, 1): a sigma within about
     2**-54 of 0 has a pole of exactly 1.0, and one below about -745 a
     pole of exactly 0.0."""
-    if not (math.isfinite(sigma) and sigma < 0.0):
+    if not -_FLOAT_MAX <= sigma < 0.0:
         raise ValueError(f"{name} must be finite and < 0, got {sigma}")
     if math.exp(sigma) == 1.0:
         raise ValueError(f"{name} is too close to 0: its pole exp({name}) rounds to 1, "
@@ -77,8 +105,7 @@ class WeightSpec:
 
     def __post_init__(self):
         _check_sigma("sigma", self.sigma)
-        if self.kappa < 0 or int(self.kappa) != self.kappa:
-            raise ValueError(f"kappa must be a nonnegative integer, got {self.kappa}")
+        _whole(self.kappa, "kappa")
         if self.causality is Causality.TWO_SIDED and self.kappa != 0:
             raise ValueError("two-sided windows require kappa == 0")
 
@@ -126,14 +153,13 @@ def _causal_power_sums(p: float, max_order: int) -> np.ndarray:
 
 
 def weight_moments(spec: WeightSpec, max_order: int) -> np.ndarray:
-    """Exact moments mu_j = sum_m m**j w(m) for j = 0 .. max_order.
+    """Exact moments mu_j = sum_m m**j w(m) for j = 0 .. max_order, an int >= 0.
 
     For the causal window the kappa factor is folded in, so the result
     is the moment of the *full* weight including m**kappa.  Two-sided
     moments vanish for odd j by symmetry.
     """
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
+    _whole(max_order, "max_order")
     p = spec.pole
     if spec.causality is Causality.CAUSAL:
         f = _causal_power_sums(p, max_order + spec.kappa)

@@ -1,6 +1,6 @@
 """Input sweep of the library's public entry points.
 
-Hypothesis draws arrays of 0 to 3 axes with 0 to 3 entries each (and,
+Arrays.  Hypothesis draws arrays of 0 to 3 axes with 0 to 3 entries each (and,
 for the product stacks, a leading axis of 4 or 5), of dtype bool,
 int64, float32, float64, complex128 or object (Python floats), as they
 are or as reversed or strided views, with values of magnitude at most
@@ -17,11 +17,26 @@ of input checks (see "Scale-free flow numerics" in ROADMAP.md).
 (``tolist()``): its compiled kernel converts with float(), which gives a
 numpy complex scalar numpy's ComplexWarning, and a type check in every
 step would cost about a fifth of the step.
+
+Scalars.  Every scalar parameter of the design, analysis, flow and
+synthesis entry points gets, one at a time with the others valid, each
+number of a fixed list (ints from -10**400 to 10**400, bools, integral
+and non-integral floats, signed zeros, subnormals, NaN, infinities,
+numpy int64 and float64) and a derandomized Hypothesis draw of ints and
+floats.  Under warnings-as-errors a call must return or raise
+ValueError, and a number its parameter's rule refuses must raise; where
+the rule is all the call checks, a number it accepts must be accepted.
+Sizes that allocate (a prefix length, plaid sizes, a binomial
+multiplicity) get only the listed numbers of magnitude at most 9 (and
+NaN), and draws of magnitude at most 10**4.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -31,24 +46,37 @@ from hypothesis import strategies as st
 
 from fadefilt import (
     Axis,
+    Causality,
     ClosedForm,
+    FilterDesign,
     FilterState,
     FlowConfig,
     FlowField,
     FrameFilter,
     LdeCoefficients,
     Priming,
+    WeightSpec,
     background_disparity,
+    binomial_denominator,
     closed_form_coefficients,
+    derive_causal_lde,
+    derive_noncausal_pair,
     evaluate_response,
     filter_causal,
     filter_image_separable,
     filter_noncausal,
     filter_time_stack,
+    flatness_report,
     frequency_response,
     group_delay,
+    impulse_response_prefix,
+    optimal_q,
+    orthonormal_basis,
     process_sequence,
     solve_flow,
+    synthesis_weights,
+    translating_plaid,
+    weight_moments,
     white_noise_gain,
 )
 from fadefilt.fileio import write_float_stack, write_pgm
@@ -226,3 +254,184 @@ def test_complex_input_is_a_value_error_naming_the_argument(tmp_path, run, what)
     with pytest.raises(ValueError, match=f"^{what} must be real, got complex128 values$"):
         run(z, tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+# ------------------------------------------------------------- scalars
+
+FLOAT_MAX = sys.float_info.max
+NUMBERS = [-(10**400), -(2**63), -1, 0, 1, 2, 3, 6, 7, 2**63, 10**400, True, False,
+           -math.inf, -1e300, -1.0, -0.5, -5e-324, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1.0,
+           1.5, 2.0, 2.5, 1e300, math.inf, math.nan,
+           np.int64(2), np.int64(-1), np.float64(2.0), np.float64(0.5), np.float64(math.nan)]
+SIZES = [n for n in NUMBERS if not abs(n) > 9]  # NaN included
+DRAWN = st.one_of(st.integers(), st.floats(), st.integers(-9, 9).map(np.int64),
+                  st.floats().map(np.float64))
+DRAWN_SIZES = st.one_of(st.integers(-10, 10**4), st.floats(-1e4, 1e4))
+
+
+def _integer(least, most=math.inf):
+    return lambda x: (isinstance(x, numbers.Integral) and not isinstance(x, bool)
+                      and least <= x <= most)
+
+
+def _period(x) -> bool:
+    return 0.0 < x <= FLOAT_MAX
+
+
+def _pole(x) -> bool:
+    return 0.0 < x < 1.0
+
+
+def _finite_number(x) -> bool:
+    return abs(x) <= FLOAT_MAX
+
+
+def _sigma(x) -> bool:
+    return -FLOAT_MAX <= x < 0.0 and 0.0 < math.exp(x) < 1.0
+
+
+WEIGHT = WeightSpec(-0.5)
+BASIS = orthonormal_basis(2, WEIGHT)
+CAUSAL_FORMS = [form for form in ClosedForm if "noncausal" not in form.value]
+
+
+def _flow(**field):
+    cfg = FlowConfig(**field)
+    return (cfg.warmup_frames, cfg.spatial_differentiator(), cfg.temporal_differentiator(),
+            cfg.spatial_smoother(), cfg.temporal_smoother())
+
+
+# (id, call with the number, the rule for it, whether the rule is all the call
+# checks, whether the number is a size that allocates)
+SCALARS = [
+    ("WeightSpec.sigma", lambda x: WeightSpec(x), _sigma, True, False),
+    ("WeightSpec.kappa", lambda x: WeightSpec(-0.5, x), _integer(0), True, False),
+    ("WeightSpec.kappa, derived",
+     lambda x: derive_causal_lde(FilterDesign(1, 0, WeightSpec(-0.5, x))), _integer(0), False,
+     False),
+    ("FilterDesign.degree", lambda x: derive_causal_lde(FilterDesign(x, 0, WEIGHT)),
+     _integer(0, 6), True, False),
+    ("FilterDesign.derivative", lambda x: derive_causal_lde(FilterDesign(2, x, WEIGHT)),
+     _integer(0, 2), True, False),
+    ("FilterDesign.delay", lambda x: derive_causal_lde(FilterDesign(2, 1, WEIGHT, delay=x)),
+     _finite_number, False, False),
+    ("FilterDesign.delay, two-sided", lambda x: derive_noncausal_pair(
+        FilterDesign(2, 1, WeightSpec(-0.5, causality=Causality.TWO_SIDED), delay=x)),
+     lambda x: x == 0, True, False),
+    ("FilterDesign.sample_period",
+     lambda x: derive_causal_lde(FilterDesign(2, 1, WEIGHT, sample_period=x)), _period, False,
+     False),
+    ("orthonormal_basis.degree", lambda x: orthonormal_basis(x, WEIGHT), _integer(0, 6), True,
+     False),
+    ("synthesis_weights.derivative", lambda x: synthesis_weights(BASIS, x, 0.5), _integer(0),
+     False, False),
+    ("synthesis_weights.delay", lambda x: synthesis_weights(BASIS, 1, x), _finite_number, False, False),
+    ("synthesis_weights.sample_period", lambda x: synthesis_weights(BASIS, 1, 0.5, x), _period,
+     False, False),
+    ("weight_moments.max_order", lambda x: weight_moments(WEIGHT, x), _integer(0), False, False),
+    ("binomial_denominator.multiplicity",
+     lambda x: (binomial_denominator(0.5, x), binomial_denominator(5e-324, x)), _integer(0),
+     False, True),
+    ("impulse_response_prefix.length",
+     lambda x: impulse_response_prefix(FilterDesign(2, 1, WeightSpec(-0.5, 1)), x),
+     _integer(5), True, True),
+    ("closed_form_coefficients.pole",
+     lambda x: [closed_form_coefficients(form, x) for form in ClosedForm], _pole, True, False),
+    ("closed_form_coefficients.q",
+     lambda x: [closed_form_coefficients(form, 0.5, x) for form in ClosedForm], _finite_number, False,
+     False),
+    ("closed_form_coefficients.sample_period",
+     lambda x: [closed_form_coefficients(form, 0.5, 1.0, x) for form in ClosedForm], _period,
+     False, False),
+    ("optimal_q.pole", lambda x: [optimal_q(form, x) for form in CAUSAL_FORMS], _pole, True,
+     False),
+    ("flatness_report.max_order",
+     lambda x: flatness_report(closed_form_coefficients(ClosedForm.SMOOTHER_K0, 0.5), x),
+     _integer(1, 6), True, False),
+    ("FlowConfig.spatial_sigma", lambda x: _flow(spatial_sigma=x), _sigma, False, False),
+    ("FlowConfig.temporal_sigma", lambda x: _flow(temporal_sigma=x), _sigma, False, False),
+    ("FlowConfig.temporal_q", lambda x: _flow(temporal_q=x),
+     lambda x: 0.0 <= x <= FLOAT_MAX and float(x).is_integer(), False, False),
+    ("FlowConfig.temporal_kappa", lambda x: _flow(temporal_kappa=x), _integer(0), False, False),
+    ("FlowConfig.smoothing_pole", lambda x: _flow(smoothing_pole=x), _pole, False, False),
+    ("FlowConfig.det_threshold", lambda x: _flow(det_threshold=x),
+     lambda x: 0.0 <= x <= FLOAT_MAX, True, False),
+    ("FlowConfig.t_space", lambda x: _flow(t_space=x), _period, False, False),
+    ("FlowConfig.t_time", lambda x: _flow(t_time=x), _period, False, False),
+    ("LdeCoefficients.sample_period",
+     lambda x: LdeCoefficients(b=[0.5], a=[1.0, -0.5], sample_period=x), _period, True, False),
+    ("translating_plaid.n_frames", lambda x: translating_plaid(x, 3, 4, (0.5, 0.25)),
+     _integer(1), True, True),
+    ("translating_plaid.height", lambda x: translating_plaid(2, x, 4, (0.5, 0.25)),
+     _integer(1), True, True),
+    ("translating_plaid.width", lambda x: translating_plaid(2, 3, x, (0.5, 0.25)),
+     _integer(1), True, True),
+]
+
+
+def _check_scalar(run, rule, exact, x) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            run(x)
+            accepted = True
+        except ValueError:
+            accepted = False
+    assert accepted <= rule(x), x
+    if exact:
+        assert accepted == rule(x), x
+
+
+@pytest.mark.parametrize("run, rule, exact, size", [s[1:] for s in SCALARS],
+                         ids=[s[0] for s in SCALARS])
+def test_scalar_parameters_follow_their_rule(run, rule, exact, size):
+    for x in SIZES if size else NUMBERS:
+        _check_scalar(run, rule, exact, x)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize("run, rule, exact, size", [s[1:] for s in SCALARS],
+                         ids=[s[0] for s in SCALARS])
+def test_drawn_scalar_parameters_follow_their_rule(run, rule, exact, size, data):
+    _check_scalar(run, rule, exact, data.draw(DRAWN_SIZES if size else DRAWN))
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: closed_form_coefficients(ClosedForm.DIFFERENTIATOR_K0, 0.5, 0.0, 0.0),
+     "sample_period must be finite and > 0, got 0.0"),
+    (lambda: closed_form_coefficients(ClosedForm.DIFFERENTIATOR_NONCAUSAL, 0.5, 0.0, 0.0),
+     "sample_period must be finite and > 0, got 0.0"),
+    (lambda: closed_form_coefficients(ClosedForm.SMOOTHER_K0, 0.5, 1e200),
+     "q must be finite with a finite square, got 1e+200"),
+    (lambda: WeightSpec(-1.0, kappa=1.0), "kappa must be an integer >= 0, got 1.0"),
+    (lambda: WeightSpec(-1.0, kappa=True), "kappa must be an integer >= 0, got True"),
+    (lambda: WeightSpec(-1.0, kappa=math.inf), "kappa must be an integer >= 0, got inf"),
+    (lambda: WeightSpec(-1.0, kappa=math.nan), "kappa must be an integer >= 0, got nan"),
+    (lambda: WeightSpec(-(10**400)), f"sigma must be finite and < 0, got {-(10**400)}"),
+    (lambda: FilterDesign(math.nan, 0, WEIGHT), "degree must be an integer in 0..6, got nan"),
+    (lambda: FilterDesign(2.0, 0, WEIGHT), "degree must be an integer in 0..6, got 2.0"),
+    (lambda: FilterDesign(2, 0.5, WEIGHT), "derivative order must be an integer in 0..2, got 0.5"),
+    (lambda: FilterDesign(2, 0, WEIGHT, delay=10**400), f"delay must be finite, got {10**400}"),
+    (lambda: synthesis_weights(BASIS, 1, 0.0, sample_period=math.inf),
+     "sample_period must be finite and > 0, got inf"),
+    (lambda: binomial_denominator(0.5, -1), "multiplicity must be an integer >= 0, got -1"),
+    (lambda: impulse_response_prefix(FilterDesign(2, 0, WEIGHT), 2.5),
+     "length must be an integer >= 4, got 2.5"),
+    (lambda: FlowConfig(temporal_kappa=1.5), "temporal_kappa must be an integer >= 0, got 1.5"),
+    (lambda: FlowConfig(temporal_kappa=True), "temporal_kappa must be an integer >= 0, got True"),
+    (lambda: FlowConfig(t_time=0.0), "t_time must be finite and > 0, got 0.0"),
+    (lambda: FlowConfig(smoothing_pole=1.0), "smoothing_pole must lie in (0, 1), got 1.0"),
+    (lambda: FlowConfig(det_threshold=10**400),
+     f"det_threshold must be finite and >= 0, got {10**400}"),
+    (lambda: translating_plaid(2, 4, 0, (0.5, 0.25)), "width must be an integer >= 1, got 0"),
+    (lambda: filter_causal(SMOOTHER, [1, 10**400]), "signal has a value beyond the float range"),
+], ids=["closed-form-zero-period", "pair-zero-period", "closed-form-q-squared", "float-kappa",
+        "bool-kappa", "inf-kappa", "nan-kappa", "int-sigma-beyond-float", "nan-degree",
+        "float-degree", "float-derivative", "int-delay-beyond-float", "inf-period",
+        "negative-multiplicity", "float-length", "float-temporal-kappa", "bool-temporal-kappa", "zero-frame-period",
+        "smoothing-pole-one", "int-threshold-beyond-float", "empty-plaid",
+        "int-sample-beyond-float"])
+def test_scalar_rules_raise_value_error_naming_the_parameter(run, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run()

@@ -121,6 +121,7 @@ def test_design_noncausal_pair(capsys):
     assert "forward" in doc and "backward" in doc
     assert main(["design", "--B", "2", "--pole", "0.5",
                  "--causality", "noncausal", "--q", "1"]) == 2
+    assert capsys.readouterr().err == "error: two-sided designs require delay == 0\n"
 
 
 def test_design_both_compare(capsys):
@@ -510,7 +511,7 @@ def test_response_grid_too_large_to_allocate_exits_2(capsys, points):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--B", str(2**31)], "degree 2147483648 exceeds supported maximum 6"),
+    (["--B", str(2**31)], "degree must be an integer in 0..6, got 2147483648"),
     (["--B", "2", "--kappa", str(2**31)],
      "(1 - p z^-1)**2147483651 has binomial coefficients beyond the float range"),
     (["--B", "2", "--D", "2", "--T", "1e-300"], "(-1/T)**D overflows at T=1e-300, D=2"),
@@ -593,7 +594,8 @@ def test_flow_rejects_bad_sidecar(tmp_path, capsys):
     (tmp_path / "frames.f32.json").write_text(
         json.dumps({"width": -4, "height": -4, "frames": 1}))
     assert main(["flow", "--frames", str(src), "--out", str(tmp_path / "run")]) == 2
-    assert "must be a positive integer" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: bad sidecar for {src}: 'width' must be an integer >= 1, got -4\n")
 
 
 @pytest.mark.parametrize("kind", ["f32", "pgm"])

@@ -3,10 +3,14 @@
 Hypothesis drives fadefilt.cli.main(argv) in process for design,
 response and flow with numeric flags drawn from finite values, signed
 zeros, subnormal and huge magnitudes, infinities, NaN, exponent forms
-and integers outside every range.  Whatever it draws, a run ends in a
-documented exit code (0, 2, 3 or 4) with at most one ``error:`` line
-and no traceback; design and response runs also print no numpy
-RuntimeWarning, which is raised there as an error.
+and integers outside every range.  For filter it draws the input (a
+small .f32 stack, an empty one, a CSV signal, an 8-bit and a 16-bit
+PGM image, all written once per session), the coefficient document (a
+causal filter, a two-sided pair, an FIR filter, huge and tiny gains),
+--axis, --priming, --mode and the output extension.  Whatever it draws,
+a run ends in a documented exit code (0, 2, 3 or 4) with at most one
+``error:`` line and no traceback; design, response and filter runs also
+print no numpy RuntimeWarning, which is raised there as an error.
 
 Sizes that allocate (``--points``, ``--temporal-q``) are drawn only at
 or below 10**4 or at or above 10**15 elements: the small ones are
@@ -25,8 +29,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fadefilt import ClosedForm, LdeCoefficients, NonCausalPair, closed_form_coefficients
 from fadefilt.cli import main
-from fadefilt.fileio import write_float_stack
+from fadefilt.fileio import coefficients_json, write_float_stack, write_pgm, write_signal_csv
 from fadefilt.synthetic import translating_plaid
 
 DOCUMENTED_EXITS = {0, 2, 3, 4}
@@ -130,3 +135,47 @@ def test_flow_sweep_ends_in_a_documented_exit(stack, flags, strict):
     with tempfile.TemporaryDirectory() as out:
         _check(["flow", "--frames", stack, "--out", f"{out}/run", *flags]
                + (["--strict"] if strict else []))
+
+
+HUGE = LdeCoefficients(b=[1e300, 1e300], a=[1.0, -0.5])
+COEFFICIENTS = {
+    "causal": closed_form_coefficients(ClosedForm.SMOOTHER_K0, 0.5, 1.0),
+    "pair": closed_form_coefficients(ClosedForm.DIFFERENTIATOR_NONCAUSAL, 0.5),
+    "fir": LdeCoefficients(b=[0.25, 0.5, 0.25], a=[1.0]),
+    "huge": HUGE,
+    "huge-pair": NonCausalPair(HUGE, HUGE),
+    "tiny": LdeCoefficients(b=[1e-300], a=[1.0, -0.5]),
+}
+
+
+@pytest.fixture(scope="session")
+def filter_files(tmp_path_factory):
+    """{name: path} of the filter sweep's inputs and coefficient documents."""
+    root = tmp_path_factory.mktemp("filter-sweep")
+    frames = translating_plaid(4, 5, 6, velocity=(0.5, -0.25))
+    files = {name: root / name for name in
+             ("stack.f32", "empty.f32", "signal.csv", "image.pgm", "image16.pgm")}
+    write_float_stack(files["stack.f32"], frames)
+    write_float_stack(files["empty.f32"], frames[:0])
+    write_signal_csv(files["signal.csv"], frames[:, 0, 0])
+    write_pgm(files["image.pgm"], frames[0])
+    write_pgm(files["image16.pgm"], frames[1], maxval=65535)
+    for name, filt in COEFFICIENTS.items():
+        files[name] = root / f"{name}.json"
+        files[name].write_text(coefficients_json(filt))
+    return {name: str(path) for name, path in files.items()}
+
+
+@SWEEP
+@given(source=st.sampled_from(["stack.f32", "empty.f32", "signal.csv", "image.pgm",
+                               "image16.pgm"]),
+       coeff=st.sampled_from(sorted(COEFFICIENTS)), axis=st.sampled_from(["rows", "cols", "time"]),
+       priming=st.sampled_from(["zero", "hold"]),
+       mode=st.sampled_from([[], ["--mode", "causal"], ["--mode", "noncausal"]]),
+       ext=st.sampled_from([".f32", ".csv", ".pgm", ".txt"]))
+def test_filter_sweep_ends_in_a_documented_exit(filter_files, source, coeff, axis, priming,
+                                                mode, ext):
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _check(["filter", "--coeff", filter_files[coeff], "--input", filter_files[source],
+                "--out", f"{out}/out{ext}", "--axis", axis, "--priming", priming, *mode])

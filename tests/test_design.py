@@ -339,7 +339,7 @@ def test_pole_radius_is_the_root_finding_of_the_stability_check(degree, kappa):
 
 def test_design_rejects_degree_above_the_maximum_before_building_a_denominator():
     # (1 - p z^-1)**(2**31 + 1) would overflow float while it was built
-    with pytest.raises(ValueError, match=r"^degree 2147483648 exceeds supported maximum 6$"):
+    with pytest.raises(ValueError, match=r"^degree must be an integer in 0\.\.6, got 2147483648$"):
         FilterDesign(2**31, 0, WeightSpec(-1.0))
 
 

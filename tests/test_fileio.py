@@ -172,6 +172,26 @@ def test_float_stack_writer_empty_stack(tmp_path):
     assert read_float_stack(path).shape == (0, 4, 3)
 
 
+def _write_a_frame(path, shape) -> None:
+    with FloatStackWriter(path, shape) as out:
+        out.write(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("write, message", [
+    (lambda path: write_float_stack(path, np.zeros((2, 0, 3))),
+     "height must be an integer >= 1, got 0"),
+    (lambda path: _write_a_frame(path, (2.5, 3)), "height must be an integer >= 1, got 2.5"),
+    (lambda path: _write_a_frame(path, (2, 3.0)), "width must be an integer >= 1, got 3.0"),
+], ids=["empty-axis", "non-integral-height", "float-width"])
+def test_float_stack_writer_refuses_a_bad_shape_before_opening_a_file(tmp_path, write, message):
+    path = tmp_path / "out.f32"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        write(path)
+    with pytest.raises(ValueError, match="values to unpack"):
+        _write_a_frame(path, (2, 3, 4))
+    assert list(tmp_path.iterdir()) == []  # no stack, sidecar or .partial file
+
+
 @pytest.mark.parametrize("meta, field", [
     ({"width": -4, "height": -4, "frames": 1}, "width"),
     ({"width": 4, "height": 0, "frames": 1}, "height"),
