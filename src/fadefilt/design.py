@@ -26,10 +26,11 @@ and reproduces the tabulated non-causal forms exactly.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.signal
@@ -38,6 +39,9 @@ from .basis import MAX_DEGREE, BasisSet, orthonormal_basis, synthesis_weights
 from .weights import _FLOAT_MAX, Causality, WeightSpec, _period, _real, _whole
 
 TAIL_TOLERANCE = 1e-9
+_ROUNDING = 32 * float(np.finfo(float).eps)  # times n and the l1 mass: an n-term sum's rounding
+_PHASE_CACHE_ELEMENTS = 8192
+_WNG_TOLERANCE = 1e-12  # white-noise gain stops when the tail bound is this share of the sum
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,10 @@ class LdeCoefficients:
     real, in ascending powers of z^-1.  They are kept as read-only fresh
     copies of one length, order + 1, the shorter zero-padded, so the
     caller's arrays stay its own.  ``pole_radius`` is the largest pole
-    modulus, found once by the stability check (0.0 without poles)."""
+    modulus, found once by the stability check (0.0 without poles).
+    The half is also its transposed direct-form II realization: runtime,
+    response and flow run and analyze it only through the private methods
+    below, each in lfilter's operation order, so all paths agree bitwise."""
 
     b: np.ndarray
     a: np.ndarray
@@ -119,7 +126,7 @@ class LdeCoefficients:
     def dc_gain(self) -> float:
         return float(np.sum(self.b) / np.sum(self.a))
 
-    @cached_property
+    @functools.cached_property
     def steady_state(self) -> np.ndarray:
         """Delay-line contents at the fixed point under unit constant
         input (transposed direct-form II convention); computed on first
@@ -127,6 +134,136 @@ class LdeCoefficients:
         zi = scipy.signal.lfilter_zi(self.b, self.a) if self.order else np.zeros(0)
         zi.flags.writeable = False
         return zi
+
+    def _held(self, x0) -> np.ndarray:
+        """The delay line, (order,) + x0's shape, that has held the
+        samples x0 forever."""
+        return self.steady_state.reshape((-1,) + (1,) * np.ndim(x0)) * x0
+
+    def _pass(self, x: np.ndarray, axis: int, hold: bool) -> np.ndarray:
+        """The causal pass along ``axis`` of a 1-D or 2-D x, from rest or,
+        with ``hold``, held at the first sample."""
+        if not hold:
+            return scipy.signal.lfilter(self.b, self.a, x, axis=axis)
+        # views throughout: np.take would copy a flipped x whole first
+        zi = self._held(x.swapaxes(0, axis)[0]).swapaxes(0, axis)
+        return scipy.signal.lfilter(self.b, self.a, x, axis=axis, zi=zi)[0]
+
+    def _step(self, z: np.ndarray, x: np.ndarray, out, t: np.ndarray) -> np.ndarray:
+        """One step of the delay lines z over every element of x, in
+        lfilter's order: y = b0*x + z[0], z[i] = (z[i+1] + b[i+1]*x) -
+        a[i+1]*y.  ``t`` is scratch shaped like x; ``out`` may be x.  Every
+        product with x is taken before y is written (z[i] gains b[i]*x for
+        z[i-1], ``t`` takes b[n]*x), so order 1 costs five ufunc calls."""
+        b, a, n = self.b, self.a, self.order
+        if n == 0:
+            return np.multiply(x, b[0], out=out)
+        # z[i, ...] stays an array view even for 0-d frames, where z[i]
+        # would be a numpy scalar that cannot take out=
+        for i in range(1, n):
+            z[i, ...] += np.multiply(x, b[i], out=t)
+        np.multiply(x, b[n], out=t)
+        y = np.multiply(x, b[0], out=out)
+        y += z[0]
+        for i in range(n - 1):
+            np.subtract(z[i + 1], np.multiply(y, a[i + 1], out=z[i, ...]), out=z[i, ...])
+        np.subtract(t, np.multiply(y, a[n], out=z[n - 1, ...]), out=z[n - 1, ...])
+        return y
+
+    def _scalar_step(self, z: list):
+        """The step of ``_step`` on Python floats, compiled for this
+        order, with the delay-line list z and the coefficients bound."""
+        return _step_kernel(self.order)(z, *self.b.tolist(), *self.a[1:].tolist())
+
+    def _series(self, omega: np.ndarray):
+        """Yield (d^r H/dw^r, [A, A', ..., A^(r)]) on the grid for r = 0,
+        1, 2, ...; the list of denominator derivatives grows in place.
+        P^(r)(w) = sum_m (-jm)^r p_m e^{-jwm} comes from the grid's cached
+        phase matrix, and H^(r) by Leibniz's rule on A H = B."""
+        phase = _phase_matrix(len(self.a), omega)
+        den = [phase @ self.a]
+        series = [(phase @ self.b) / den[0]]
+        yield series[0], den
+        wb, wa = self.b, self.a
+        jm = -1j * np.arange(len(wa))
+        for r in itertools.count(1):
+            wb, wa = wb * jm, wa * jm  # (-jm)^r p_m
+            den.append(phase @ wa)
+            # A H^(r) = B^(r) - sum_{i>=1} C(r, i) A^(i) H^(r-i)
+            acc = phase @ wb
+            for i in range(1, r + 1):
+                acc = acc - math.comb(r, i) * den[i] * series[r - i]
+            series.append(acc / den[0])
+            yield series[r], den
+
+    def _rounding_floor(self, den: list, hs: list) -> np.ndarray:
+        """This half's rounding floor of H^(r), r = len(hs) - 2, from the
+        ``den`` that ``_series`` yielded: up to _ROUNDING n sum_m m^r |b_m|
+        in B^(r), plus what the lower orders hs of H carry."""
+        r, b = len(hs) - 2, self.b
+        acc = _ROUNDING * len(b) * float(np.abs(b) @ np.arange(len(b)) ** r)
+        for i in range(1, r + 1):
+            acc = acc + math.comb(r, i) * np.abs(den[i] * hs[r - i])
+        return acc / np.abs(den[0])
+
+    def _noise_gain(self) -> float:
+        """sum_m h[m]^2, summed as response.white_noise_gain describes."""
+        b, a, rho, n = self.b, self.a, self.pole_radius, self.order
+        block = 512
+        x = np.zeros(block)
+        x[0] = 1.0
+        zi = np.zeros(n)
+        total = 0.0
+        start = 0
+        while True:
+            h, zi = scipy.signal.lfilter(b, a, x, zi=zi)
+            x[0] = 0.0
+            e_blk = float(h @ h)
+            total += e_blk
+            start += block
+            # block-to-block envelope ratio for |h[m]| <= C m^(n-1) rho^m
+            r = (rho**block * ((start + block) / start) ** max(n - 1, 0)) ** 2
+            if r < 1.0 and e_blk * r / (1.0 - r) <= _WNG_TOLERANCE * total:
+                return total
+            if start > 5_000_000:
+                raise RuntimeError("white_noise_gain failed to converge")
+
+
+@functools.lru_cache(maxsize=64)
+def _step_kernel(order: int):
+    """Compile, once per order, a factory for a straight-line transposed
+    direct-form II step on Python floats, IEEE doubles like float64, so it
+    keeps lfilter's bits at a fraction of the cost of numpy scalars.  The
+    factory binds a delay-line list and the coefficients as default
+    arguments, so the step loads them as locals; each z[i] keeps the
+    loop's order, z[i+1] + b[i+1]*x - a[i+1]*y."""
+    coef = [f"b{i}" for i in range(order + 1)] + [f"a{i}" for i in range(1, order + 1)]
+    body = ["x = float(x)", "y = b0 * x" + (" + z[0]" if order else "")]
+    body += [f"z[{i}] = {f'z[{i + 1}] + ' if i + 1 < order else ''}b{i + 1} * x - a{i + 1} * y"
+             for i in range(order)]
+    source = (f"def make(z, {', '.join(coef)}):\n"
+              f"    def step(x, z=z, {', '.join(f'{c}={c}' for c in coef)}, float=float):\n"
+              + "".join(f"        {line}\n" for line in body + ["return y"])
+              + "    return step\n")
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["make"]
+
+
+def _phase_matrix(n: int, omega: np.ndarray) -> np.ndarray:
+    """e^{-jwm} for m = 0..n-1, one row per frequency.  Matrices of up
+    to _PHASE_CACHE_ELEMENTS entries come read-only from a bounded cache
+    keyed on a copy of the grid's bytes; larger ones are built fresh."""
+    if n * omega.size <= _PHASE_CACHE_ELEMENTS:
+        return _cached_phase_matrix(n, omega.tobytes())
+    return np.exp(-1j * np.outer(omega, np.arange(n)))
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_phase_matrix(n: int, omega_bytes: bytes) -> np.ndarray:
+    phase = np.exp(-1j * np.outer(np.frombuffer(omega_bytes), np.arange(n)))
+    phase.flags.writeable = False
+    return phase
 
 
 @dataclass(frozen=True)
@@ -163,7 +300,9 @@ class SpectrumFilterBank:
 
 def binomial_denominator(pole: float, multiplicity: int) -> np.ndarray:
     """Coefficients of (1 - pole*z^-1)**multiplicity, an integer >= 0,
-    ascending; a binomial coefficient beyond the float range raises ValueError."""
+    ascending, in float64 for any real pole; a pole or a coefficient beyond the
+    float range raises ValueError."""
+    pole = float(_real(pole, "pole", ndim=0))
     multiplicity = _whole(multiplicity, "multiplicity")
     try:
         return np.array(

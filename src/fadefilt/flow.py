@@ -46,8 +46,7 @@ import numpy as np
 from .closed_form import ClosedForm, closed_form_coefficients
 from .design import FilterDesign, LdeCoefficients, NonCausalPair, derive_causal_lde
 from .runtime import (
-    Axis, FrameFilter, _frames, _row_strips, _stacked_column_pass, _tdf2_step,
-    filter_image_separable,
+    Axis, FrameFilter, _frames, _row_strips, _stacked_column_pass, filter_image_separable,
 )
 from .weights import _FLOAT_MAX, WeightSpec, _check_sigma, _period, _pole, _real, _whole
 
@@ -233,7 +232,7 @@ class _FlowEngine:
             rows = s.stop - s.start
             j, scratch = self._strip[:, :rows], self._scratch[:, :rows]
             np.add(forward[:, s], backward[:, s], out=j)
-            _tdf2_step(self._temporal_smoother, self._temporal[:, :, s], j, j, scratch)
+            self._temporal_smoother._step(self._temporal[:, :, s], j, j, scratch)
             strip = FlowField(vx=field.vx[s], vy=field.vy[s], valid=field.valid[s])
             solve_flow(j, self.cfg, scratch=scratch[:3], out=strip)
             for k, (a, b) in enumerate(_PRODUCTS):

@@ -2,10 +2,8 @@
 flatness, Nyquist attenuation, and white-noise gain.
 
 Every response quantity reads one exact derivative series H, dH/dw,
-d^2H/dw^2, ... on a grid.  A coefficient polynomial P(w) = sum_m p_m
-e^{-jwm} has P^(r)(w) = sum_m (-jm)^r p_m e^{-jwm}, evaluated from the
-grid's cached phase matrices, and the derivatives of H = B/A follow by
-Leibniz's rule on A H = B; a two-sided pair adds its backward half at
+d^2H/dw^2, ... on a grid, which each half yields itself
+(design.LdeCoefficients); a two-sided pair adds its backward half at
 -w with the chain-rule sign (-1)^r.  The group delay is -Im[H'/H].  At
 a zero of order k (a differentiator at w = 0, an optimally placed
 Nyquist zero) it is the exact limit -Im[H^(k+1) / ((k+1) H^(k))]: each
@@ -19,22 +17,17 @@ array per column.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .design import LdeCoefficients, _require_halves
 from .weights import _real, _whole
 
 DB_FLOOR = -300.0
-_ROUNDING = 32 * float(np.finfo(float).eps)  # times n and the l1 mass: an n-term sum's rounding
 _ZERO_RADIUS = 1e-9  # rad: a sample this close to a zero of H^(r) is at it
-_PHASE_CACHE_ELEMENTS = 8192
-_WNG_TOLERANCE = 1e-12  # white_noise_gain stops when the tail bound is this share of the sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,50 +41,14 @@ class ResponseTable:
     group_delay: np.ndarray
 
 
-def _phase_matrix(n: int, omega: np.ndarray) -> np.ndarray:
-    """e^{-jwm} for m = 0..n-1, one row per frequency.  Matrices of up
-    to _PHASE_CACHE_ELEMENTS entries come read-only from a bounded cache
-    keyed on a copy of the grid's bytes; larger ones are built fresh."""
-    if n * omega.size <= _PHASE_CACHE_ELEMENTS:
-        return _cached_phase_matrix(n, omega.tobytes())
-    return np.exp(-1j * np.outer(omega, np.arange(n)))
-
-
-@functools.lru_cache(maxsize=256)
-def _cached_phase_matrix(n: int, omega_bytes: bytes) -> np.ndarray:
-    phase = np.exp(-1j * np.outer(np.frombuffer(omega_bytes), np.arange(n)))
-    phase.flags.writeable = False
-    return phase
-
-
-def _lde_series(lde: LdeCoefficients, omega: np.ndarray):
-    """Yield (d^r H/dw^r, [A, A', ..., A^(r)]) on the grid for r = 0, 1,
-    2, ...; the list of denominator derivatives grows in place."""
-    phase = _phase_matrix(len(lde.a), omega)
-    den = [phase @ lde.a]
-    series = [(phase @ lde.b) / den[0]]
-    yield series[0], den
-    wb, wa = lde.b, lde.a
-    jm = -1j * np.arange(len(wa))
-    for r in itertools.count(1):
-        wb, wa = wb * jm, wa * jm  # (-jm)^r p_m
-        den.append(phase @ wa)
-        # Leibniz on A H = B: A H^(r) = B^(r) - sum_{i>=1} C(r, i) A^(i) H^(r-i)
-        acc = phase @ wb
-        for i in range(1, r + 1):
-            acc = acc - math.comb(r, i) * den[i] * series[r - i]
-        series.append(acc / den[0])
-        yield series[r], den
-
-
 def _derivative_series(filt, omega: np.ndarray):
     """An iterator over (d^r H/dw^r, denominator derivatives per half)
     for r = 0, 1, 2, ...; a pair's second half runs over reversed time,
     so it adds its series at -w with the sign (-1)^r."""
     forward, *backward = filt.halves
     if not backward:
-        return ((h, (den,)) for h, den in _lde_series(forward, omega))
-    halves = zip(_lde_series(forward, omega), _lde_series(backward[0], -omega))
+        return ((h, (den,)) for h, den in forward._series(omega))
+    halves = zip(forward._series(omega), backward[0]._series(-omega))
     return ((hf - hb if r % 2 else hf + hb, (den_f, den_b))
             for r, ((hf, den_f), (hb, den_b)) in enumerate(halves))
 
@@ -118,7 +75,7 @@ def _value_and_delay(filt, omega: np.ndarray):
         series = _derivative_series(filt, omega[zero])
         (hz, dens), (dz, _) = next(series), next(series)
         hs, at_zero, pending = [hz, dz], gd[zero], np.ones(hz.size, dtype=bool)
-        for r in range(2, 2 + sum(len(f.a) for f in halves)):
+        for r in range(2, 2 + sum(f.order + 1 for f in halves)):
             hs.append(next(series)[0])
             found = pending & _nonzero(halves, dens, hs)
             at_zero[found] = -np.imag(hs[r][found] / hs[r - 1][found]) / r
@@ -131,19 +88,10 @@ def _value_and_delay(filt, omega: np.ndarray):
 
 def _nonzero(halves, dens, hs) -> np.ndarray:
     """Whether H^(r), the order before the last in hs, is no zero where
-    every lower order is one: it is above its rounding floor and has no
-    zero within _ZERO_RADIUS, |H^(r)| > _ZERO_RADIUS |H^(r+1)|.  Per half,
-    A H^(r) = B^(r) - sum_{i>=1} C(r, i) A^(i) H^(r-i); rounding leaves up
-    to _ROUNDING n sum_m m^r |b_m| in B^(r), an n-term sum, and the lower
-    orders of H carry what it left in them."""
-    r = len(hs) - 2
-    floor = 0.0
-    for f, den in zip(halves, dens):
-        acc = _ROUNDING * len(f.b) * float(np.abs(f.b) @ np.arange(len(f.b)) ** r)
-        for i in range(1, r + 1):
-            acc = acc + math.comb(r, i) * np.abs(den[i] * hs[r - i])
-        floor = floor + acc / np.abs(den[0])
-    return np.abs(hs[r]) > np.maximum(floor, _ZERO_RADIUS * np.abs(hs[r + 1]))
+    every lower order is one: it is above the halves' rounding floors
+    and has no zero within _ZERO_RADIUS, |H^(r)| > _ZERO_RADIUS |H^(r+1)|."""
+    floor = sum(f._rounding_floor(den, hs) for f, den in zip(halves, dens))
+    return np.abs(hs[-2]) > np.maximum(floor, _ZERO_RADIUS * np.abs(hs[-1]))
 
 
 def group_delay(filt, omega) -> np.ndarray:
@@ -216,25 +164,6 @@ def white_noise_gain(lde: LdeCoefficients) -> float:
     """Variance reduction factor sum_m h[m]^2 for unit-variance white
     input.  The impulse response is run in blocks and the sum truncated
     once a geometric envelope bound on the remaining tail drops below
-    _WNG_TOLERANCE times the partial sum; causal filters only."""
+    1e-12 (design._WNG_TOLERANCE) times the partial sum; causal filters only."""
     _require_halves(lde, 1, "white_noise_gain")
-    b, a, rho, n = lde.b, lde.a, lde.pole_radius, lde.order
-    block = 512
-    x = np.zeros(block)
-    x[0] = 1.0
-    zi = np.zeros(n)
-    total = 0.0
-    start = 0
-    while True:
-        h, zi = scipy.signal.lfilter(b, a, x, zi=zi)
-        x[0] = 0.0
-        e_blk = float(h @ h)
-        total += e_blk
-        start += block
-        # block-to-block envelope ratio for |h[m]| <= C m^(n-1) rho^m
-        r = (rho**block * ((start + block) / start) ** max(n - 1, 0)) ** 2
-        if r < 1.0 and e_blk * r / (1.0 - r) <= _WNG_TOLERANCE * total:
-            break
-        if start > 5_000_000:
-            raise RuntimeError("white_noise_gain failed to converge")
-    return total
+    return lde._noise_gain()

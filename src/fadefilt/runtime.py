@@ -6,16 +6,10 @@ Every filter is a tuple of causal halves, ``filt.halves``: a two-sided
 pair adds a second half run over reversed time to the one half of a
 causal filter.  Streaming paths take causal filters only.
 
-All realizations are transposed direct-form II.  The scalar
-FilterState, the scipy.signal.lfilter array path, and the vectorized
-step that FrameFilter and the stacked column pass share perform the
-same floating-point operations in the same order, so their outputs
-agree bit for bit; tests rely on that.
-FilterState steps on Python floats, which are IEEE doubles like
-numpy's float64, so it stays bitwise equal to filter_causal at a
-fraction of the cost of stepping on numpy scalars.  Its step is
-straight-line code generated and compiled once per filter order
-(order 0 included), with the loop's operations in the loop's order.
+Each half runs itself through its private methods (see
+design.LdeCoefficients): the whole-array pass, the stepped array update
+of FrameFilter and the stacked column pass, and FilterState's compiled
+scalar step agree bit for bit; tests rely on that.
 
 The per-pixel paths, FrameFilter and the flow engine's tail, run in
 row strips of about 16 K values (``_row_strips``), so that the planes a
@@ -33,12 +27,10 @@ cannot remove them entirely).
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from typing import Iterable, Iterator
 
 import numpy as np
-import scipy.signal
 
 from .design import LdeCoefficients, NonCausalPair, _require_halves
 from .weights import _real
@@ -54,25 +46,6 @@ class Axis(enum.Enum):
     COLS = "cols"
 
 
-@functools.lru_cache(maxsize=64)
-def _step_kernel(order: int):
-    """Compile, once per order, a factory for a straight-line transposed
-    direct-form II step.  The factory binds a delay-line list and the
-    coefficients as default arguments, so the step loads them as locals;
-    each z[i] keeps the loop's order, z[i+1] + b[i+1]*x - a[i+1]*y."""
-    coef = [f"b{i}" for i in range(order + 1)] + [f"a{i}" for i in range(1, order + 1)]
-    body = ["x = float(x)", "y = b0 * x" + (" + z[0]" if order else "")]
-    body += [f"z[{i}] = {f'z[{i + 1}] + ' if i + 1 < order else ''}b{i + 1} * x - a{i + 1} * y"
-             for i in range(order)]
-    source = (f"def make(z, {', '.join(coef)}):\n"
-              f"    def step(x, z=z, {', '.join(f'{c}={c}' for c in coef)}, float=float):\n"
-              + "".join(f"        {line}\n" for line in body + ["return y"])
-              + "    return step\n")
-    namespace: dict = {}
-    exec(source, namespace)
-    return namespace["make"]
-
-
 class FilterState:
     """Single-channel streaming filter.  Mutable and single-owner; make
     one per concurrent stream.  ``step(x)`` advances one real sample and
@@ -84,8 +57,7 @@ class FilterState:
         _require_halves(coefficients, 1, "FilterState")
         self.coefficients = coefficients
         self._z = [0.0] * coefficients.order
-        self.step = _step_kernel(coefficients.order)(
-            self._z, *coefficients.b.tolist(), *coefficients.a[1:].tolist())
+        self.step = coefficients._scalar_step(self._z)
 
     @property
     def delay_line(self) -> np.ndarray:
@@ -97,7 +69,7 @@ class FilterState:
 
     def prime_constant(self, x0: float) -> None:
         """Jump to the steady state for constant input x0, a real number."""
-        self._z[:] = (self.coefficients.steady_state * _real(x0, "x0", ndim=0)).tolist()
+        self._z[:] = self.coefficients._held(_real(x0, "x0", ndim=0)).tolist()
 
 
 # Values in one strip of a per-pixel pass: 16 K float64 values, 128 KB
@@ -116,7 +88,7 @@ def _row_strips(height: int, width: int) -> tuple[int, list[slice]]:
 
 class FrameFilter:
     """Vectorized causal filter over a stream of equally shaped frames:
-    one independent transposed direct-form II state per pixel.  A step
+    one independent state of the half per pixel.  A step
     runs in row strips of axis 0 (see ``_row_strips``), which keeps each
     strip's operands in cache and needs one strip of scratch; per pixel
     the operations are those of one whole-frame step.  ``hold`` and each
@@ -125,13 +97,9 @@ class FrameFilter:
     def __init__(self, coefficients: LdeCoefficients, shape, hold: np.ndarray | None = None):
         _require_halves(coefficients, 1, "FrameFilter")
         self.coefficients = coefficients
-        n = coefficients.order
         self._shape = shape = tuple(shape)
-        if hold is not None:
-            hold = _real(hold, "hold", shape=shape)
-            self.state = coefficients.steady_state.reshape((n,) + (1,) * len(shape)) * hold
-        else:
-            self.state = np.zeros((n,) + shape)
+        self.state = (np.zeros((coefficients.order,) + shape) if hold is None
+                      else coefficients._held(_real(hold, "hold", shape=shape)))
         if shape:
             rows, self._strips = _row_strips(shape[0], math.prod(shape[1:]))
             self._scratch = np.empty((rows,) + shape[1:])
@@ -141,48 +109,13 @@ class FrameFilter:
     def step(self, frame: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Advance every pixel by one frame and return the output frame,
         written into ``out`` when given; ``out`` may be ``frame`` itself."""
-        x, t = _real(frame, "frame", shape=self._shape), self._scratch
+        x, t, half = _real(frame, "frame", shape=self._shape), self._scratch, self.coefficients
         if not x.ndim:
-            return _tdf2_step(self.coefficients, self.state, x, out, t)
+            return half._step(self.state, x, out, t)
         y = np.empty(x.shape) if out is None else out
         for s in self._strips:
-            _tdf2_step(self.coefficients, self.state[:, s], x[s], y[s], t[: s.stop - s.start])
+            half._step(self.state[:, s], x[s], y[s], t[: s.stop - s.start])
         return y
-
-
-def _tdf2_step(lde: LdeCoefficients, z, x: np.ndarray, out, t: np.ndarray) -> np.ndarray:
-    """One transposed direct-form II step of ``lde`` over every element
-    of ``x``, in lfilter's order: y = b0*x + z[0], z[i] = (z[i+1] +
-    b[i+1]*x) - a[i+1]*y.  ``t`` is scratch shaped like ``x``; ``out``
-    may be ``x``.  Every product with x is taken before y is written
-    (z[i] gains b[i]*x for z[i-1], ``t`` takes b[n]*x), so order 1
-    costs five ufunc calls."""
-    b, a, n = lde.b, lde.a, lde.order
-    if n == 0:
-        return np.multiply(x, b[0], out=out)
-    # z[i, ...] stays an array view even for 0-d frames, where z[i]
-    # would be a numpy scalar that cannot take out=
-    for i in range(1, n):
-        z[i, ...] += np.multiply(x, b[i], out=t)
-    np.multiply(x, b[n], out=t)
-    y = np.multiply(x, b[0], out=out)
-    y += z[0]
-    for i in range(n - 1):
-        np.subtract(z[i + 1], np.multiply(y, a[i + 1], out=z[i, ...]), out=z[i, ...])
-    np.subtract(t, np.multiply(y, a[n], out=z[n - 1, ...]), out=z[n - 1, ...])
-    return y
-
-
-def _causal_pass(lde: LdeCoefficients, x: np.ndarray, axis: int, priming: Priming) -> np.ndarray:
-    if priming is Priming.HOLD_FIRST:
-        zi = lde.steady_state
-        if axis == 0:
-            hold = x[:1] * zi.reshape((-1,) + (1,) * (x.ndim - 1))
-        else:
-            hold = x[:, :1] * zi
-        y, _ = scipy.signal.lfilter(lde.b, lde.a, x, axis=axis, zi=hold)
-        return y
-    return scipy.signal.lfilter(lde.b, lde.a, x, axis=axis)
 
 
 def _stacked_column_pass(half: LdeCoefficients, work: np.ndarray) -> None:
@@ -197,21 +130,21 @@ def _stacked_column_pass(half: LdeCoefficients, work: np.ndarray) -> None:
     # a ufunc copy: np.copyto cannot tell that the reversed slots are
     # disjoint and would buffer all k planes first
     np.positive(work[::-1, :k], out=work[:, k:])
-    z = work[:1] * half.steady_state.reshape((-1,) + (1,) * (work.ndim - 1))
+    z = half._held(work[0])
     t = np.empty(work.shape[1:])
     for row in work:
-        _tdf2_step(half, z, row, row, t)
+        half._step(z, row, row, t)
 
 
 def _halves_pass(filt, x: np.ndarray, axis: int, priming: Priming, out=None) -> np.ndarray:
     """The sum of the causal passes of ``filt``'s halves along ``axis``,
     the second half run over the flipped axis, written into ``out`` when
     given and else into the first pass's output."""
-    forward, *backward = filt.halves
-    y = _causal_pass(forward, x, axis, priming)
+    (forward, *backward), hold = filt.halves, priming is Priming.HOLD_FIRST
+    y = forward._pass(x, axis, hold)
     out = y if out is None else out
     if backward:
-        bwd = _causal_pass(backward[0], np.flip(x, axis=axis), axis, priming)
+        bwd = backward[0]._pass(np.flip(x, axis=axis), axis, hold)
         return np.add(y, np.flip(bwd, axis=axis), out=out)
     if out is not y:
         np.copyto(out, y)

@@ -350,6 +350,22 @@ def test_binomial_denominator_beyond_float_range_is_a_value_error():
         derive_causal_lde(FilterDesign(2, 0, WeightSpec(-0.5, kappa=2**31)))
 
 
+@pytest.mark.parametrize("pole, multiplicity, want", [
+    (3, 2, [1.0, -6.0, 9.0]),
+    (3, 40, [math.comb(40, i) * (-3.0) ** i for i in range(41)]),
+    (np.int64(2), 1, [1.0, -2.0]),
+])
+def test_binomial_denominator_of_an_integer_pole_is_float64(pole, multiplicity, want):
+    got = binomial_denominator(pole, multiplicity)
+    assert got.dtype == np.float64
+    assert got.tolist() == want
+
+
+def test_binomial_denominator_of_a_pole_beyond_float_range_is_a_value_error():
+    with pytest.raises(ValueError, match="^pole has a value beyond the float range$"):
+        binomial_denominator(10**400, 2)
+
+
 def test_sample_period_whose_derivative_scale_overflows_is_a_value_error():
     basis = orthonormal_basis(2, WeightSpec(-0.5))
     with pytest.raises(ValueError, match=r"^\(-1/T\)\*\*D overflows at T=1e-300, D=2$"):

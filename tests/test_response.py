@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from fadefilt import response as response_module
+from fadefilt import design as design_module
 from fadefilt.closed_form import ClosedForm, closed_form_coefficients, optimal_q
 from fadefilt.design import (
     FilterDesign,
@@ -416,7 +416,7 @@ def test_white_noise_gain_bits_match_finding_the_roots_again(degree, kappa, pole
     assert white_noise_gain(lde) == _white_noise_gain_finding_its_own_roots(lde)
 
 
-PHASE_CACHE = response_module._cached_phase_matrix
+PHASE_CACHE = design_module._cached_phase_matrix
 
 
 @pytest.mark.parametrize("filt", [
@@ -451,7 +451,7 @@ def test_phase_cache_is_bounded_and_read_only():
     info = PHASE_CACHE.cache_info()
     assert info.misses >= 1000
     assert 0 < info.currsize <= info.maxsize
-    phase = response_module._phase_matrix(3, np.linspace(0.0, 1.0, 4))
+    phase = design_module._phase_matrix(3, np.linspace(0.0, 1.0, 4))
     assert not phase.flags.writeable
 
 
@@ -473,7 +473,7 @@ def test_phase_cache_does_not_alias_the_callers_grid():
 def test_grids_beyond_the_cache_element_limit_are_built_fresh():
     lde = smoother(1.0)
     n = min(len(lde.b), len(lde.a))
-    points = response_module._PHASE_CACHE_ELEMENTS // n + 1
+    points = design_module._PHASE_CACHE_ELEMENTS // n + 1
     omega = np.linspace(0.0, math.pi, points)
     PHASE_CACHE.cache_clear()
     first = frequency_response(lde, omega)

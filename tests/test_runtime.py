@@ -19,7 +19,6 @@ from fadefilt.runtime import (
     FrameFilter,
     Priming,
     _row_strips,
-    _tdf2_step,
     filter_causal,
     filter_image_separable,
     filter_noncausal,
@@ -176,12 +175,12 @@ def test_frame_step_in_strips_matches_one_whole_array_step(order, priming, shape
     frames = np.random.default_rng([order, len(shape)]).standard_normal((4,) + shape)
     if priming is Priming.HOLD_FIRST:
         hold = frames[0]
-        z = lde.steady_state.reshape((-1,) + (1,) * len(shape)) * hold
+        z = lde._held(hold)
     else:
         hold, z = None, np.zeros((order,) + shape)
     stepped, in_place = FrameFilter(lde, shape, hold=hold), FrameFilter(lde, shape, hold=hold)
     for frame in frames:
-        want = _tdf2_step(lde, z, frame, None, np.empty(shape))
+        want = lde._step(z, frame, None, np.empty(shape))
         assert stepped.step(frame).tobytes() == want.tobytes()
         buffer = frame.copy()
         assert in_place.step(buffer, out=buffer) is buffer
@@ -372,3 +371,39 @@ def test_image_separable_causal_filter_writes_into_out(axis):
     out = np.full_like(img, np.nan)
     assert filter_image_separable(DIFF, img, axis, out=out) is out
     assert np.array_equal(out, filter_image_separable(DIFF, img, axis))
+
+
+@st.composite
+def _foreign_halves(draw):
+    """A stable monic half of order 0-6 whose b and a differ in length,
+    as a coefficient file may give them: a from real poles and complex
+    pairs of modulus <= 0.95, b of another length."""
+    a = np.ones(1)
+    for _ in range(draw(st.integers(0, 3))):
+        r = draw(st.floats(0.0, 0.95))
+        theta = draw(st.floats(0.0, math.pi))
+        pair = draw(st.booleans()) and len(a) < 6
+        factor = [1.0, -2.0 * r * math.cos(theta), r * r] if pair else [1.0, -r * math.cos(theta)]
+        a = np.convolve(a, factor)
+    size = draw(st.sampled_from([n for n in range(1, 8) if n != len(a)]))
+    b = draw(st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size))
+    return LdeCoefficients(b=b, a=a)
+
+
+@settings(deadline=None, max_examples=60)
+@given(lde=_foreign_halves(), seed=st.integers(0, 2**31 - 1), priming=st.sampled_from(Priming))
+def test_every_path_of_a_foreign_half_is_bitwise_identical(lde, seed, priming):
+    x = np.random.default_rng(seed).standard_normal(40) + 1.0
+    want = filter_causal(lde, x, priming)
+    hold = priming is Priming.HOLD_FIRST
+    state = FilterState(lde)
+    if hold:
+        state.prime_constant(x[0])
+    stepped = np.array([state.step(v) for v in x.tolist()])
+    ff = FrameFilter(lde, (1,), hold=x[:1] if hold else None)
+    frames = np.stack([ff.step(frame) for frame in x[:, None]])[:, 0]
+    rows = filter_image_separable(lde, np.stack([x, x[::-1]]), Axis.ROWS, priming)
+    assert np.array_equal(stepped, want)
+    assert np.array_equal(frames, want)
+    assert np.array_equal(rows[0], want)
+    assert np.array_equal(rows[1], filter_causal(lde, x[::-1], priming))
