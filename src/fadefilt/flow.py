@@ -26,7 +26,8 @@ on the first frame, that owns the stream: the filters and their state,
 a delay line of the last q frames seen, into which it copies each frame
 (so a producer may refill one buffer for every frame), and one workspace
 reused for every frame, which must have the first frame's shape.  The
-per-pixel stages run in cache-sized row strips with the bits of
+per-pixel stages run in cache-sized row strips, and a large frame runs
+as two bands, one in a forked helper process, all with the bits of
 whole-frame calls; see _FlowEngine.
 
 The temporal differentiator is primed by holding the first frame and
@@ -38,6 +39,11 @@ than suppressed.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -46,7 +52,8 @@ import numpy as np
 from .closed_form import ClosedForm, closed_form_coefficients
 from .design import FilterDesign, LdeCoefficients, NonCausalPair, derive_causal_lde
 from .runtime import (
-    Axis, FrameFilter, _frames, _row_strips, _stacked_column_pass, filter_image_separable,
+    Axis, Priming, _bands, _frames, _half_passes, _row_strips, _stacked_column_pass,
+    filter_image_separable,
 )
 from .weights import _FLOAT_MAX, WeightSpec, _check_sigma, _period, _pole, _real, _whole
 
@@ -144,35 +151,96 @@ class FlowResult:
 _PRODUCTS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2))
 
 
+def _can_fork() -> bool:
+    """Whether this process may run a band in a forked helper: fork
+    exists, a second CPU is there to run the helper, and no other
+    thread runs, whose locks the helper would inherit held."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+def _planes(shared: bool, *specs) -> list[np.ndarray]:
+    """Arrays of the (shape, dtype) ``specs``, carved in order out of one
+    buffer: an anonymous shared mmap, which a forked process sees and
+    writes, when ``shared``, else private memory."""
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+    total = sum(sizes)
+    buffer = np.frombuffer(mmap.mmap(-1, total), np.uint8) if shared else np.empty(total, np.uint8)
+    planes, offset = [], 0
+    for (shape, dtype), size in zip(specs, sizes):
+        planes.append(buffer[offset:offset + size].view(dtype).reshape(shape))
+        offset += size
+    return planes
+
+
+def _stop_helper(pid: int, commands: int, done: int, owner: int) -> None:
+    """Tell the helper to exit, close its pipes and, in the process that
+    forked it, reap it.  The stop byte reaches the helper even when a
+    later fork holds a copy of the command pipe, which would keep EOF
+    from it."""
+    try:
+        os.write(commands, b"\xff")
+    except BrokenPipeError:  # the helper is gone already
+        pass
+    os.close(commands)
+    os.close(done)
+    if os.getpid() == owner:
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:  # reaped already
+            pass
+
+
+@dataclass(frozen=True)
+class _Band:
+    rows: slice
+    cols: slice
+    strips: list  # the row strips of ``rows``
+    work: np.ndarray  # the (H, 10, W_band) workspace of ``cols``
+
+
 class _FlowEngine:
     """Filters, delay line and workspace of one frame stream.
 
     The engine is built on frame 0: the order-4 temporal differentiator
-    is a FrameFilter hold-primed on it, and every plane is allocated
-    from its shape and reused for each later frame.  Each stage writes
-    into its buffer with out= ufuncs, in the floating-point order of the
-    standalone stage functions, so results match them bit for bit.
+    is hold-primed on it, and every plane is allocated from its shape
+    and reused for each later frame.  Each stage writes into its buffer
+    with out= ufuncs, in the floating-point order of the standalone
+    stage functions, so results match them bit for bit.
 
     The spatial path runs on the frame the temporal derivative refers
-    to, q = frame_delay frames back.  The engine copies each input
-    frame into its own ring of planes: the first q frames each append a
-    copy, so the ring holds no more planes than frames seen, and each
-    later frame is copied into the slot of frame n - q once the spatial
-    differentiator has read it, so a producer may refill one buffer for
-    every frame.  With q = 0 the ring is empty and the spatial path
-    reads the input frame.
+    to, q = frame_delay frames back.  The engine copies each of the
+    first q frames, then allocates its planes when the first result is
+    due, with a ring of q + 1 of them: each frame is copied into the
+    slot that held frame n - q - 1, and the spatial path reads the next
+    slot, frame n - q.  So the delay line holds no more planes than
+    frames seen, and a producer may refill one buffer for every frame.
 
-    Each product is formed in one reused plane and its row pass written
-    to slot k of the (H, 10, W) workspace; the stacked column pass
-    leaves the forward halves in slots 0-4 and the backward halves,
-    rows reversed, in slots 5-9.  The per-pixel tail then runs in row
+    A frame runs in four stages, each over a band: the gradients (the
+    band's rows of I_z and I_x, its columns of I_y), the products and
+    their row passes (its rows), the stacked column pass (its columns)
+    and the strip tail (its rows).  The row pass of product k goes to
+    slot k of each column band's own (H, 10, W_band) workspace; the
+    column pass leaves the forward halves in slots 0-4 and the backward
+    halves, rows reversed, in slots 5-9.  The tail then runs in row
     strips (runtime._row_strips): for each strip it sums the two halves
     into a contiguous (5, rows, W) buffer, steps the temporal smoother
     there in place, solves for the flow, refills the buffer with the
-    strip's raw products and takes the disparity of those rows, writing
-    into the frame's fresh output arrays.  A strip's planes stay in
-    cache between these stages, where whole-frame planes would stream
-    through memory once per ufunc.
+    strip's raw products and takes the disparity of those rows.  A
+    strip's planes stay in cache between these stages, where
+    whole-frame planes would stream through memory once per ufunc.
+
+    A frame large enough (runtime._bands) is split into two bands when
+    the process can fork (_can_fork): a helper process forked when the
+    first result is due runs band 1 while this process runs band 0,
+    with a 1-byte pipe round trip between stages.  The planes that both
+    bands touch (the delay line and its position, the gradients, the
+    workspaces and band 1's outputs) live in one shared mmap; the
+    differentiator and temporal smoother states of a band's rows stay
+    private to the process that steps them.  Every value gets the
+    operations of one whole-frame call, so two bands give the bits of
+    one.  Otherwise one band, the whole frame, runs in this process,
+    which also runs both bands if the system refuses the fork.
 
     The temporal product smoother starts from zero state.  A shared
     start-up attenuation on all five products cancels in the flow solve
@@ -181,25 +249,25 @@ class _FlowEngine:
     holding the first frame's products, which would lock in values
     computed while the temporal differentiator was still settling."""
 
+    # the stages of a frame, in order, each run on one band at a time
+    _STAGES = ("_gradients", "_row_pass", "_column_pass", "_tail")
+
     def __init__(self, cfg: FlowConfig, first_frame: np.ndarray):
         self.cfg = cfg
         self.shape = shape = first_frame.shape
-        height, width = shape
-        self._iz_filter = FrameFilter(cfg.temporal_differentiator(), shape, hold=first_frame)
         self._differentiator = cfg.spatial_differentiator()
         self._smoother = cfg.spatial_smoother()
-        self._frames = 0
-        self._ring: list[np.ndarray] = []
-        self._gradients = np.empty((3,) + shape)
-        self._product = np.empty(shape)
-        self._work = np.empty((height, 10, width))
         self._temporal_smoother = cfg.temporal_smoother()
-        self._temporal = np.zeros((self._temporal_smoother.order, 5) + shape)
-        rows, self._strips = _row_strips(height, width)
-        # the summed, then smoothed, then raw products of one strip, and
-        # scratch for the temporal step and (its first three planes) the
-        # solve and the disparity
-        self._strip, self._scratch = np.empty((2, 5, rows, width))
+        self._iz = cfg.temporal_differentiator()
+        self._iz_state = self._iz._held(first_frame)
+        self._frames = 0
+        self._seen: list[np.ndarray | None] = []
+        self._rows, self._strips = _row_strips(*shape)
+        # the I_z output of the frames before the first result, and the
+        # differentiator's scratch
+        self._iz_scratch = np.empty((2, self._rows, shape[1]))
+        self._bands: list[_Band] = []
+        self._pipes: tuple[int, int] | None = None
 
     def step(self, frame: np.ndarray) -> FlowResult | None:
         """Feed the next input frame, a float array of frame 0's shape
@@ -207,40 +275,184 @@ class _FlowEngine:
         while the delay line fills."""
         n, q = self._frames, self.cfg.frame_delay
         self._frames += 1
-        ix, iy, iz = g = self._gradients
-        self._iz_filter.step(frame, out=iz)
         if n < q:
-            self._ring.append(frame.copy())
+            self._differentiate(frame, self._strips, None)
+            self._seen.append(frame.copy())
             return None
-        delayed = self._ring[n % q] if q else frame
-        filter_image_separable(self._differentiator, delayed, Axis.ROWS, out=ix)
-        filter_image_separable(self._differentiator, delayed, Axis.COLS, out=iy)
-        if q:
-            delayed[...] = frame
-        work = self._work
-        for k, (a, b) in enumerate(_PRODUCTS):
-            np.multiply(g[a], g[b], out=self._product)
-            filter_image_separable(self._smoother, self._product, Axis.ROWS, out=work[:, k])
-        # the smoother's halves are equal, so one recursion serves both
-        _stacked_column_pass(self._smoother.forward, work)
+        if not self._bands:
+            self._start()
+        now = int(self._now)
+        np.copyto(self._ring[now], frame)
         field = FlowField(
             vx=np.empty(self.shape), vy=np.empty(self.shape), valid=np.empty(self.shape, bool)
         )
         dj = np.empty(self.shape)
-        forward, backward = work[:, :5].transpose(1, 0, 2), work[::-1, 5:].transpose(1, 0, 2)
-        for s in self._strips:
+        self._out = field, dj
+        for stage in range(len(self._STAGES)):
+            self._run(stage)
+        self._now[...] = (now + 1) % len(self._ring)
+        if self._pipes:
+            rows = self._bands[1].rows
+            for mine, theirs in zip((field.vx, field.vy, field.valid, dj), self._shared_out):
+                mine[rows] = theirs[rows]
+        index = n - q
+        return FlowResult(frame_index=index, warmed_up=index >= self.cfg.warmup_frames - q,
+                          flow=field, disparity=dj)
+
+    def close(self) -> None:
+        """Stop and reap the helper process, if one was forked."""
+        if self._pipes:
+            self._reap()
+
+    def _start(self) -> None:
+        """Allocate the planes, take in the frames seen so far and, with
+        two bands, fork the helper."""
+        (height, width), q = self.shape, self.cfg.frame_delay
+        split = _bands(height, width, _can_fork())
+        shared = len(split) > 1
+        outputs = [((3, height, width), float), ((height, width), bool)] if shared else []
+        # the ring position first and the bool plane last keep every
+        # plane aligned to its item size
+        planes = _planes(
+            shared, ((), np.int64), ((q + 1, height, width), float), ((3, height, width), float),
+            *[((height, 10, c.stop - c.start), float) for _, c in split], *outputs)
+        self._now, self._ring, self._g = planes[:3]
+        if shared:
+            (vx, vy, dj), valid = planes[-2:]
+            self._shared_out = vx, vy, valid, dj
+        for (rows, cols), work in zip(split, planes[3:]):
+            strips = [slice(rows.start + s.start, rows.start + s.stop)
+                      for s in _row_strips(rows.stop - rows.start, width)[1]]
+            self._bands.append(_Band(rows, cols, strips, work))
+        # each copy is dropped once it is in the ring, so that the copies
+        # and the ring never both hold all q frames
+        for i, frame in enumerate(self._seen):
+            self._ring[i], self._seen[i] = frame, None
+        self._now[...] = q
+        self._product = np.empty((split[-1][0].stop - split[-1][0].start, width))
+        self._temporal = np.zeros((self._temporal_smoother.order, 5, height, width))
+        # the summed, then smoothed, then raw products of one strip, and
+        # scratch for the temporal step and (its first three planes) the
+        # solve and the disparity
+        self._strip, self._scratch = np.empty((2, 5, self._rows, width))
+        if shared:
+            self._fork()
+
+    def _fork(self) -> None:
+        """Fork the helper, which serves band 1 until it is stopped.  If
+        the system refuses the fork, this process runs both bands."""
+        commands, done = os.pipe(), os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # out of processes or memory
+            for fd in (*commands, *done):
+                os.close(fd)
+            return
+        if pid == 0:
+            status = 1
+            try:
+                os.close(commands[1])
+                os.close(done[0])
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                # a pipe write wakes its reader on the writer's CPU, as if
+                # the writer were about to sleep; the caller runs band 0
+                # instead, and an unpinned helper often waited for it to
+                # finish (each stage of a 128x384 frame then took twice
+                # its time)
+                os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+                vx, vy, valid, dj = self._shared_out
+                self._out = FlowField(vx=vx, vy=vy, valid=valid), dj
+                self._serve(commands[0], done[1])
+                status = 0
+            finally:
+                # never return into the caller's code, nor flush the
+                # stdio buffers it holds
+                os._exit(status)
+        os.close(commands[0])
+        os.close(done[1])
+        self._pipes = commands[1], done[0]
+        self._pid = pid
+        self._reap = weakref.finalize(self, _stop_helper, pid, commands[1], done[0], os.getpid())
+
+    def _serve(self, commands: int, done: int) -> None:
+        """The helper's loop: run each stage the command pipe names on
+        band 1 and answer with one byte, until EOF or a stop byte."""
+        band = self._bands[1]
+        while (stage := os.read(commands, 1)) and stage[0] < len(self._STAGES):
+            self._stage(stage[0], band)
+            os.write(done, b"\0")
+
+    def _run(self, stage: int) -> None:
+        """Run ``stage`` on band 0, and on band 1 in the helper, and
+        return when both are done; without a helper, run every band."""
+        if not self._pipes:
+            for band in self._bands:
+                self._stage(stage, band)
+            return
+        commands, done = self._pipes
+        try:
+            os.write(commands, bytes((stage,)))
+        except BrokenPipeError:
+            raise RuntimeError(f"flow helper process {self._pid} has exited") from None
+        self._stage(stage, self._bands[0])
+        if os.read(done, 1) != b"\0":
+            raise RuntimeError(f"flow helper process {self._pid} has exited")
+
+    def _stage(self, stage: int, band: _Band) -> None:
+        getattr(self, self._STAGES[stage])(band)
+
+    def _differentiate(self, frame: np.ndarray, strips: list, iz: np.ndarray | None) -> None:
+        """Step the temporal differentiator on the rows of ``strips``,
+        writing I_z into ``iz`` when given."""
+        t, y = self._iz_scratch
+        for s in strips:
+            rows = s.stop - s.start
+            self._iz._step(self._iz_state[:, s], frame[s], y[:rows] if iz is None else iz[s],
+                           t[:rows])
+
+    def _gradients(self, band: _Band) -> None:
+        """I_z and I_x on the band's rows, I_y on its columns."""
+        ring, (ix, iy, iz), now = self._ring, self._g, int(self._now)
+        frame, delayed = ring[now], ring[(now + 1) % len(ring)]
+        self._differentiate(frame, band.strips, iz)
+        filter_image_separable(self._differentiator, delayed[band.rows], Axis.ROWS,
+                               out=ix[band.rows])
+        filter_image_separable(self._differentiator, delayed[:, band.cols], Axis.COLS,
+                               out=iy[:, band.cols])
+
+    def _row_pass(self, band: _Band) -> None:
+        """The five products on the band's rows and their row passes,
+        each summed into every column band's workspace."""
+        g = self._g[:, band.rows]
+        product = self._product[: len(g[0])]
+        for k, (a, b) in enumerate(_PRODUCTS):
+            np.multiply(g[a], g[b], out=product)
+            forward, backward = _half_passes(self._smoother, product, 1, Priming.HOLD_FIRST)
+            for other in self._bands:
+                np.add(forward[:, other.cols], backward[:, other.cols],
+                       out=other.work[band.rows, k])
+
+    def _column_pass(self, band: _Band) -> None:
+        # the smoother's halves are equal, so one recursion serves both
+        _stacked_column_pass(self._smoother.forward, band.work)
+
+    def _tail(self, band: _Band) -> None:
+        """Sum, temporal step, solve and disparity of the band's rows,
+        strip by strip, into the process's outputs."""
+        g, (field, dj) = self._g, self._out
+        halves = [(o.cols, o.work[:, :5].transpose(1, 0, 2), o.work[::-1, 5:].transpose(1, 0, 2))
+                  for o in self._bands]
+        for s in band.strips:
             rows = s.stop - s.start
             j, scratch = self._strip[:, :rows], self._scratch[:, :rows]
-            np.add(forward[:, s], backward[:, s], out=j)
+            for cols, forward, backward in halves:
+                np.add(forward[:, s], backward[:, s], out=j[:, :, cols])
             self._temporal_smoother._step(self._temporal[:, :, s], j, j, scratch)
             strip = FlowField(vx=field.vx[s], vy=field.vy[s], valid=field.valid[s])
             solve_flow(j, self.cfg, scratch=scratch[:3], out=strip)
             for k, (a, b) in enumerate(_PRODUCTS):
                 np.multiply(g[a, s], g[b, s], out=j[k])
             background_disparity(j, strip, scratch=scratch[:3], out=dj[s])
-        index = n - q
-        return FlowResult(frame_index=index, warmed_up=index >= self.cfg.warmup_frames - q,
-                          flow=field, disparity=dj)
 
 
 def _products(x, what: str) -> np.ndarray:
@@ -328,6 +540,12 @@ def process_sequence(
     Frames are only read, so the stream may reuse one buffer.  Each
     result owns its arrays.
 
+    Frames of at least runtime._BAND_VALUES values run as two bands on
+    two CPUs, when the process may fork (see _FlowEngine): a helper
+    process forked when the first result is due runs one band.  The
+    generator stops and reaps the helper when it ends, is closed or
+    raises; if the helper dies, the next frame raises RuntimeError.
+
     Non-finite input is not repaired: one NaN or inf sample spreads
     along its row and column through the spatial filters and stays in
     the temporal state, so every later result is invalid.  Callers that
@@ -336,8 +554,12 @@ def process_sequence(
     if cfg is None:
         cfg = FlowConfig()
     engine: _FlowEngine | None = None
-    for frame in _frames(stream, ndim=2):
-        engine = engine or _FlowEngine(cfg, frame)
-        result = engine.step(frame)
-        if result is not None:
-            yield result
+    try:
+        for frame in _frames(stream, ndim=2):
+            engine = engine or _FlowEngine(cfg, frame)
+            result = engine.step(frame)
+            if result is not None:
+                yield result
+    finally:
+        if engine is not None:
+            engine.close()

@@ -86,6 +86,27 @@ def _row_strips(height: int, width: int) -> tuple[int, list[slice]]:
     return rows, [slice(r, min(r + rows, height)) for r in range(0, height, rows)]
 
 
+# Values in a frame from which the flow engine runs it as two bands,
+# band 1 in a forked helper process (flow._FlowEngine).  On 2 vCPUs a
+# 40-frame pass took 466 against 736 ms at 256x256, 532 against 826 ms
+# at 320x240 and 1189 against 1959 ms at 480x360, fork included.
+# 128x128 stays on one band: its pass gained less (170 against 206 ms),
+# and its first result, which pays the fork, took twice as long.
+_BAND_VALUES = 65536
+
+
+def _bands(height: int, width: int, split: bool) -> list[tuple[slice, slice]]:
+    """The (rows, columns) bands of a ``height`` x ``width`` frame: two,
+    the top rows with the left columns and the bottom rows with the
+    right columns, when ``split`` and the frame holds at least
+    ``_BAND_VALUES`` values in two or more rows and columns; else one
+    band, the whole frame."""
+    if not split or height * width < _BAND_VALUES or min(height, width) < 2:
+        return [(slice(0, height), slice(0, width))]
+    r, c = height // 2, width // 2
+    return [(slice(0, r), slice(0, c)), (slice(r, height), slice(c, width))]
+
+
 class FrameFilter:
     """Vectorized causal filter over a stream of equally shaped frames:
     one independent state of the half per pixel.  A step
@@ -136,16 +157,25 @@ def _stacked_column_pass(half: LdeCoefficients, work: np.ndarray) -> None:
         half._step(z, row, row, t)
 
 
-def _halves_pass(filt, x: np.ndarray, axis: int, priming: Priming, out=None) -> np.ndarray:
-    """The sum of the causal passes of ``filt``'s halves along ``axis``,
-    the second half run over the flipped axis, written into ``out`` when
-    given and else into the first pass's output."""
+def _half_passes(filt, x: np.ndarray, axis: int, priming: Priming) -> list[np.ndarray]:
+    """The causal pass of each of ``filt``'s halves along ``axis``, the
+    second half run over the flipped axis and returned flipped back."""
     (forward, *backward), hold = filt.halves, priming is Priming.HOLD_FIRST
-    y = forward._pass(x, axis, hold)
-    out = y if out is None else out
+    passes = [forward._pass(x, axis, hold)]
     if backward:
         bwd = backward[0]._pass(np.flip(x, axis=axis), axis, hold)
-        return np.add(y, np.flip(bwd, axis=axis), out=out)
+        passes.append(np.flip(bwd, axis=axis))
+    return passes
+
+
+def _halves_pass(filt, x: np.ndarray, axis: int, priming: Priming, out=None) -> np.ndarray:
+    """The sum of ``filt``'s half passes along ``axis`` (_half_passes),
+    written into ``out`` when given and else into the first pass's
+    output."""
+    y, *backward = _half_passes(filt, x, axis, priming)
+    out = y if out is None else out
+    if backward:
+        return np.add(y, backward[0], out=out)
     if out is not y:
         np.copyto(out, y)
     return out
