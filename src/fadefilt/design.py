@@ -27,13 +27,17 @@ and reproduces the tabulated non-causal forms exactly.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
+import scipy
 
 from .basis import MAX_DEGREE, BasisSet, orthonormal_basis, synthesis_weights
 from .weights import _FLOAT_MAX, Causality, WeightSpec, _period, _real, _whole
@@ -42,6 +46,24 @@ TAIL_TOLERANCE = 1e-9
 _ROUNDING = 32 * float(np.finfo(float).eps)  # times n and the l1 mass: an n-term sum's rounding
 _PHASE_CACHE_ELEMENTS = 8192
 _WNG_TOLERANCE = 1e-12  # white-noise gain stops when the tail bound is this share of the sum
+_SIGTOOLS = "scipy.signal._sigtools"
+
+
+def _load_sigtools(directory: str):
+    """scipy's compiled signal extension, loaded from ``directory`` without
+    running the ``scipy.signal`` package, which imports far more than it."""
+    spec = importlib.machinery.PathFinder.find_spec(_SIGTOOLS, [directory])
+    if spec is None:
+        raise ImportError(f"{_SIGTOOLS} not found in {directory}", name=_SIGTOOLS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the transposed direct-form II recursion that scipy.signal.lfilter calls:
+# _linear_filter(b, a, x, axis[, zi]) -> y, or (y, zf) with zi
+_linear_filter = (sys.modules.get(_SIGTOOLS)
+                  or _load_sigtools(os.path.join(scipy.__path__[0], "signal")))._linear_filter
 
 
 @dataclass(frozen=True)
@@ -129,9 +151,15 @@ class LdeCoefficients:
     @functools.cached_property
     def steady_state(self) -> np.ndarray:
         """Delay-line contents at the fixed point under unit constant
-        input (transposed direct-form II convention); computed on first
+        input (transposed direct-form II convention), lfilter_zi's solve of
+        zi = A zi + B with A the companion matrix of a; computed on first
         use and kept, read-only."""
-        zi = scipy.signal.lfilter_zi(self.b, self.a) if self.order else np.zeros(0)
+        n, b, a = self.order, self.b, self.a
+        zi = np.zeros(0)
+        if n:
+            companion = np.eye(n, k=-1)
+            companion[0] = -a[1:]
+            zi = np.linalg.solve(np.eye(n) - companion.T, b[1:] - a[1:] * b[0])
         zi.flags.writeable = False
         return zi
 
@@ -144,10 +172,10 @@ class LdeCoefficients:
         """The causal pass along ``axis`` of a 1-D or 2-D x, from rest or,
         with ``hold``, held at the first sample."""
         if not hold:
-            return scipy.signal.lfilter(self.b, self.a, x, axis=axis)
+            return _linear_filter(self.b, self.a, x, axis)
         # views throughout: np.take would copy a flipped x whole first
         zi = self._held(x.swapaxes(0, axis)[0]).swapaxes(0, axis)
-        return scipy.signal.lfilter(self.b, self.a, x, axis=axis, zi=zi)[0]
+        return _linear_filter(self.b, self.a, x, axis, zi)[0]
 
     def _step(self, z: np.ndarray, x: np.ndarray, out, t: np.ndarray) -> np.ndarray:
         """One step of the delay lines z over every element of x, in
@@ -216,7 +244,7 @@ class LdeCoefficients:
         total = 0.0
         start = 0
         while True:
-            h, zi = scipy.signal.lfilter(b, a, x, zi=zi)
+            h, zi = _linear_filter(b, a, x, 0, zi)
             x[0] = 0.0
             e_blk = float(h @ h)
             total += e_blk
