@@ -329,6 +329,10 @@ def _cmd_flow(args) -> int:
                 d.rmdir()
         raise
 
+    if not dj.frames:
+        print(f"warning: no frames written: the stream has {n_frames} frames, and a "
+              f"delay of {cfg.frame_delay} frames needs {cfg.frame_delay + 1} for the first "
+              "result", file=sys.stderr)
     manifest = {
         "config": dataclasses.asdict(cfg),
         "frames_in": int(n_frames),

@@ -66,6 +66,23 @@ _linear_filter = (sys.modules.get(_SIGTOOLS)
                   or _load_sigtools(os.path.join(scipy.__path__[0], "signal")))._linear_filter
 
 
+def _check_linear_filter(linear_filter) -> None:
+    """Raise ImportError naming scipy's version unless ``linear_filter``
+    gives the recursion and final state above on an order-2 case whose
+    every intermediate value is a short dyadic fraction, exact in
+    float64, so that no rounding order or fused multiply-add moves a bit."""
+    y, zf = linear_filter(np.array([0.5, -0.25, 0.125]), np.array([1.0, -0.75, 0.5]),
+                          np.array([1.0, -2.0, 3.0, 0.5, -1.5]), 0, np.array([0.25, -0.5]))
+    want = [0.75, -1.1875, 0.859375, 0.48828125, -0.5634765625, -0.229248046875, 0.09423828125]
+    if np.asarray(y).tobytes() + np.asarray(zf).tobytes() != np.array(want).tobytes():
+        raise ImportError(f"{_SIGTOOLS}._linear_filter of scipy {scipy.__version__} does not "
+                          "compute lfilter's recursion as fadefilt expects (checked on scipy "
+                          "1.17.1)", name=_SIGTOOLS)
+
+
+_check_linear_filter(_linear_filter)
+
+
 @dataclass(frozen=True)
 class FilterDesign:
     """Complete parameter set for one smoother/differentiator: integers
@@ -431,8 +448,9 @@ def spectrum_filter_bank(design: FilterDesign) -> SpectrumFilterBank:
     if design.causality is not Causality.CAUSAL:
         raise ValueError("spectrum_filter_bank requires a causal design")
     basis = orthonormal_basis(design.degree, design.weight)
+    unit = np.eye(design.degree + 1)
     filters = tuple(
-        _realize(design, lambda m: basis.evaluate(k, m) * design.weight.values(m))
+        _realize(design, lambda m: _weighted_combination(basis, unit[k], design.weight, m))
         for k in range(design.degree + 1)
     )
     c = synthesis_weights(basis, design.derivative, design.delay, design.sample_period)

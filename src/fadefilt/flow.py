@@ -52,8 +52,7 @@ import numpy as np
 from .closed_form import ClosedForm, closed_form_coefficients
 from .design import FilterDesign, LdeCoefficients, NonCausalPair, derive_causal_lde
 from .runtime import (
-    Axis, Priming, _bands, _frames, _half_passes, _row_strips, _stacked_column_pass,
-    filter_image_separable,
+    Axis, FrameFilter, Priming, _frames, _half_passes, _row_strips, filter_image_separable,
 )
 from .weights import _FLOAT_MAX, WeightSpec, _check_sigma, _period, _pole, _real, _whole
 
@@ -159,18 +158,56 @@ def _can_fork() -> bool:
             and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
 
 
-def _planes(shared: bool, *specs) -> list[np.ndarray]:
+# Values in a frame from which the flow engine runs it as two bands,
+# band 1 in a forked helper process (_FlowEngine).  On 2 vCPUs a
+# 40-frame pass took 466 against 736 ms at 256x256, 532 against 826 ms
+# at 320x240 and 1189 against 1959 ms at 480x360, fork included.
+# 128x128 stays on one band: its pass gained less (170 against 206 ms),
+# and its first result, which pays the fork, took twice as long.
+_BAND_VALUES = 65536
+
+
+def _bands(height: int, width: int, split: bool) -> list[tuple[slice, slice]]:
+    """The (rows, columns) bands of a ``height`` x ``width`` frame: two,
+    the top rows with the left columns and the bottom rows with the
+    right columns, when ``split`` and the frame holds at least
+    ``_BAND_VALUES`` values in two or more rows and columns; else one
+    band, the whole frame."""
+    if not split or height * width < _BAND_VALUES or min(height, width) < 2:
+        return [(slice(0, height), slice(0, width))]
+    r, c = height // 2, width // 2
+    return [(slice(0, r), slice(0, c)), (slice(r, height), slice(c, width))]
+
+
+def _planes(*specs) -> list[np.ndarray]:
     """Arrays of the (shape, dtype) ``specs``, carved in order out of one
-    buffer: an anonymous shared mmap, which a forked process sees and
-    writes, when ``shared``, else private memory."""
+    anonymous shared mmap, which a forked process sees and writes.  A
+    page costs memory only once it is written."""
     sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
-    total = sum(sizes)
-    buffer = np.frombuffer(mmap.mmap(-1, total), np.uint8) if shared else np.empty(total, np.uint8)
+    buffer = np.frombuffer(mmap.mmap(-1, sum(sizes)), np.uint8)
     planes, offset = [], 0
     for (shape, dtype), size in zip(specs, sizes):
         planes.append(buffer[offset:offset + size].view(dtype).reshape(shape))
         offset += size
     return planes
+
+
+def _stacked_column_pass(half: LdeCoefficients, work: np.ndarray) -> None:
+    """Run both halves of the two-sided pair whose halves are both
+    ``half`` down axis 0 of the k planes work[:, :k] of an (H, 2k, W)
+    ``work``, in place and left unsummed.  work[:, k:] takes the rows
+    reversed, so step i advances the forward half on row i and the
+    backward half on row H-1-i of every plane at once.  Afterwards row
+    i of plane j's pass, the bytes of filter_image_separable(...,
+    Axis.COLS), is work[i, j] + work[::-1][i, k + j]."""
+    k = work.shape[1] // 2
+    # a ufunc copy: np.copyto cannot tell that the reversed slots are
+    # disjoint and would buffer all k planes first
+    np.positive(work[::-1, :k], out=work[:, k:])
+    z = half._held(work[0])
+    t = np.empty(work.shape[1:])
+    for row in work:
+        half._step(z, row, row, t)
 
 
 def _stop_helper(pid: int, commands: int, done: int, owner: int) -> None:
@@ -197,24 +234,28 @@ class _Band:
     cols: slice
     strips: list  # the row strips of ``rows``
     work: np.ndarray  # the (H, 10, W_band) workspace of ``cols``
+    iz: FrameFilter  # the temporal differentiator of ``rows``
 
 
 class _FlowEngine:
     """Filters, delay line and workspace of one frame stream.
 
-    The engine is built on frame 0: the order-4 temporal differentiator
-    is hold-primed on it, and every plane is allocated from its shape
-    and reused for each later frame.  Each stage writes into its buffer
-    with out= ufuncs, in the floating-point order of the standalone
-    stage functions, so results match them bit for bit.
+    The engine is built on frame 0: it splits the frame into bands
+    (below), hold-primes each band's order-4 temporal differentiator, a
+    FrameFilter, on that band's rows of frame 0, and allocates every
+    plane but the delay line from frame 0's shape, to be reused for
+    each later frame.  Each stage writes into its buffer with out=
+    ufuncs, in the floating-point order of the standalone stage
+    functions, so results match them bit for bit.
 
     The spatial path runs on the frame the temporal derivative refers
-    to, q = frame_delay frames back.  The engine copies each of the
-    first q frames, then allocates its planes when the first result is
-    due, with a ring of q + 1 of them: each frame is copied into the
-    slot that held frame n - q - 1, and the spatial path reads the next
-    slot, frame n - q.  So the delay line holds no more planes than
-    frames seen, and a producer may refill one buffer for every frame.
+    to, q = frame_delay frames back.  The engine steps I_z on each of
+    the first q frames and copies it, then allocates the delay line
+    when the first result is due, a ring of q + 1 planes: each frame is
+    copied into the slot that held frame n - q - 1, and the spatial
+    path reads the next slot, frame n - q.  So the delay line holds no
+    more planes than frames seen, and a producer may refill one buffer
+    for every frame.
 
     A frame runs in four stages, each over a band: the gradients (the
     band's rows of I_z and I_x, its columns of I_y), the products and
@@ -230,17 +271,18 @@ class _FlowEngine:
     strip's planes stay in cache between these stages, where
     whole-frame planes would stream through memory once per ufunc.
 
-    A frame large enough (runtime._bands) is split into two bands when
-    the process can fork (_can_fork): a helper process forked when the
-    first result is due runs band 1 while this process runs band 0,
-    with a 1-byte pipe round trip between stages.  The planes that both
-    bands touch (the delay line and its position, the gradients, the
-    workspaces and band 1's outputs) live in one shared mmap; the
-    differentiator and temporal smoother states of a band's rows stay
-    private to the process that steps them.  Every value gets the
-    operations of one whole-frame call, so two bands give the bits of
-    one.  Otherwise one band, the whole frame, runs in this process,
-    which also runs both bands if the system refuses the fork.
+    Frame 0 is split into two bands when it is large enough (_bands)
+    and the process can fork (_can_fork); else one band, the whole
+    frame, runs in this process.  With two bands, a helper process
+    forked when the first result is due runs band 1 while this process
+    runs band 0, with a 1-byte pipe round trip between stages.  The
+    planes both bands touch (the delay line and its position, the
+    gradients, the workspaces and band 1's outputs) live in anonymous
+    shared mmaps; the differentiator and temporal smoother states of a
+    band's rows stay private to the process that steps them.  Every
+    value gets the operations of one whole-frame call, so two bands
+    give the bits of one.  If a thread has started since frame 0, or
+    the system refuses the fork, this process runs both bands.
 
     The temporal product smoother starts from zero state.  A shared
     start-up attenuation on all five products cancels in the flow solve
@@ -249,25 +291,36 @@ class _FlowEngine:
     holding the first frame's products, which would lock in values
     computed while the temporal differentiator was still settling."""
 
-    # the stages of a frame, in order, each run on one band at a time
-    _STAGES = ("_gradients", "_row_pass", "_column_pass", "_tail")
-
     def __init__(self, cfg: FlowConfig, first_frame: np.ndarray):
         self.cfg = cfg
-        self.shape = shape = first_frame.shape
+        self.shape = height, width = first_frame.shape
         self._differentiator = cfg.spatial_differentiator()
         self._smoother = cfg.spatial_smoother()
         self._temporal_smoother = cfg.temporal_smoother()
-        self._iz = cfg.temporal_differentiator()
-        self._iz_state = self._iz._held(first_frame)
         self._frames = 0
         self._seen: list[np.ndarray | None] = []
-        self._rows, self._strips = _row_strips(*shape)
-        # the I_z output of the frames before the first result, and the
-        # differentiator's scratch
-        self._iz_scratch = np.empty((2, self._rows, shape[1]))
-        self._bands: list[_Band] = []
         self._pipes: tuple[int, int] | None = None
+        split = _bands(height, width, _can_fork())
+        # the bool plane last keeps every plane aligned to its item size
+        self._g, *works, (vx, vy, dj), valid = _planes(
+            ((3, height, width), float),
+            *[((height, 10, c.stop - c.start), float) for _, c in split],
+            ((3, height, width), float), ((height, width), bool))
+        self._shared_out = vx, vy, valid, dj
+        iz = cfg.temporal_differentiator()
+        self._bands = []
+        for (rows, cols), work in zip(split, works):
+            band_height = rows.stop - rows.start
+            strip_rows, strips = _row_strips(band_height, width)
+            strips = [slice(rows.start + s.start, rows.start + s.stop) for s in strips]
+            self._bands.append(_Band(rows, cols, strips, work,
+                                     FrameFilter(iz, (band_height, width), hold=first_frame[rows])))
+        # sized by the last band, which has the most rows: a band's products,
+        # the summed, then smoothed, then raw products of one strip, and scratch
+        # for the temporal step and (its first three planes) the solve and disparity
+        self._product = np.empty((band_height, width))
+        self._strip, self._scratch = np.empty((2, 5, strip_rows, width))
+        self._temporal = np.zeros((self._temporal_smoother.order, 5, height, width))
 
     def step(self, frame: np.ndarray) -> FlowResult | None:
         """Feed the next input frame, a float array of frame 0's shape
@@ -276,10 +329,11 @@ class _FlowEngine:
         n, q = self._frames, self.cfg.frame_delay
         self._frames += 1
         if n < q:
-            self._differentiate(frame, self._strips, None)
+            for band in self._bands:
+                band.iz.step(frame[band.rows], out=self._g[2, band.rows])
             self._seen.append(frame.copy())
             return None
-        if not self._bands:
+        if n == q:
             self._start()
         now = int(self._now)
         np.copyto(self._ring[now], frame)
@@ -305,42 +359,24 @@ class _FlowEngine:
             self._reap()
 
     def _start(self) -> None:
-        """Allocate the planes, take in the frames seen so far and, with
-        two bands, fork the helper."""
-        (height, width), q = self.shape, self.cfg.frame_delay
-        split = _bands(height, width, _can_fork())
-        shared = len(split) > 1
-        outputs = [((3, height, width), float), ((height, width), bool)] if shared else []
-        # the ring position first and the bool plane last keep every
-        # plane aligned to its item size
-        planes = _planes(
-            shared, ((), np.int64), ((q + 1, height, width), float), ((3, height, width), float),
-            *[((height, 10, c.stop - c.start), float) for _, c in split], *outputs)
-        self._now, self._ring, self._g = planes[:3]
-        if shared:
-            (vx, vy, dj), valid = planes[-2:]
-            self._shared_out = vx, vy, valid, dj
-        for (rows, cols), work in zip(split, planes[3:]):
-            strips = [slice(rows.start + s.start, rows.start + s.stop)
-                      for s in _row_strips(rows.stop - rows.start, width)[1]]
-            self._bands.append(_Band(rows, cols, strips, work))
+        """Allocate the delay line, take in the frames seen so far and,
+        with two bands, fork the helper."""
+        q = self.cfg.frame_delay
+        self._now, self._ring = _planes(((), np.int64), ((q + 1, *self.shape), float))
         # each copy is dropped once it is in the ring, so that the copies
         # and the ring never both hold all q frames
         for i, frame in enumerate(self._seen):
             self._ring[i], self._seen[i] = frame, None
         self._now[...] = q
-        self._product = np.empty((split[-1][0].stop - split[-1][0].start, width))
-        self._temporal = np.zeros((self._temporal_smoother.order, 5, height, width))
-        # the summed, then smoothed, then raw products of one strip, and
-        # scratch for the temporal step and (its first three planes) the
-        # solve and the disparity
-        self._strip, self._scratch = np.empty((2, 5, self._rows, width))
-        if shared:
+        if len(self._bands) > 1:
             self._fork()
 
     def _fork(self) -> None:
-        """Fork the helper, which serves band 1 until it is stopped.  If
-        the system refuses the fork, this process runs both bands."""
+        """Fork the helper, which serves band 1 until it is stopped.  If a
+        thread has started since frame 0, or the system refuses the
+        fork, this process runs both bands."""
+        if not _can_fork():
+            return
         commands, done = os.pipe(), os.pipe()
         try:
             pid = os.fork()
@@ -379,42 +415,31 @@ class _FlowEngine:
         band 1 and answer with one byte, until EOF or a stop byte."""
         band = self._bands[1]
         while (stage := os.read(commands, 1)) and stage[0] < len(self._STAGES):
-            self._stage(stage[0], band)
+            self._STAGES[stage[0]](self, band)
             os.write(done, b"\0")
 
     def _run(self, stage: int) -> None:
         """Run ``stage`` on band 0, and on band 1 in the helper, and
         return when both are done; without a helper, run every band."""
+        run = self._STAGES[stage]
         if not self._pipes:
             for band in self._bands:
-                self._stage(stage, band)
+                run(self, band)
             return
         commands, done = self._pipes
         try:
             os.write(commands, bytes((stage,)))
         except BrokenPipeError:
             raise RuntimeError(f"flow helper process {self._pid} has exited") from None
-        self._stage(stage, self._bands[0])
+        run(self, self._bands[0])
         if os.read(done, 1) != b"\0":
             raise RuntimeError(f"flow helper process {self._pid} has exited")
-
-    def _stage(self, stage: int, band: _Band) -> None:
-        getattr(self, self._STAGES[stage])(band)
-
-    def _differentiate(self, frame: np.ndarray, strips: list, iz: np.ndarray | None) -> None:
-        """Step the temporal differentiator on the rows of ``strips``,
-        writing I_z into ``iz`` when given."""
-        t, y = self._iz_scratch
-        for s in strips:
-            rows = s.stop - s.start
-            self._iz._step(self._iz_state[:, s], frame[s], y[:rows] if iz is None else iz[s],
-                           t[:rows])
 
     def _gradients(self, band: _Band) -> None:
         """I_z and I_x on the band's rows, I_y on its columns."""
         ring, (ix, iy, iz), now = self._ring, self._g, int(self._now)
-        frame, delayed = ring[now], ring[(now + 1) % len(ring)]
-        self._differentiate(frame, band.strips, iz)
+        delayed = ring[(now + 1) % len(ring)]
+        band.iz.step(ring[now][band.rows], out=iz[band.rows])
         filter_image_separable(self._differentiator, delayed[band.rows], Axis.ROWS,
                                out=ix[band.rows])
         filter_image_separable(self._differentiator, delayed[:, band.cols], Axis.COLS,
@@ -453,6 +478,9 @@ class _FlowEngine:
             for k, (a, b) in enumerate(_PRODUCTS):
                 np.multiply(g[a, s], g[b, s], out=j[k])
             background_disparity(j, strip, scratch=scratch[:3], out=dj[s])
+
+    # the stages of a frame, in order, each run on one band at a time
+    _STAGES = (_gradients, _row_pass, _column_pass, _tail)
 
 
 def _products(x, what: str) -> np.ndarray:
@@ -540,11 +568,12 @@ def process_sequence(
     Frames are only read, so the stream may reuse one buffer.  Each
     result owns its arrays.
 
-    Frames of at least runtime._BAND_VALUES values run as two bands on
-    two CPUs, when the process may fork (see _FlowEngine): a helper
-    process forked when the first result is due runs one band.  The
-    generator stops and reaps the helper when it ends, is closed or
-    raises; if the helper dies, the next frame raises RuntimeError.
+    Frames of at least flow._BAND_VALUES values run as two bands on
+    two CPUs, when the process may fork (see _FlowEngine): the split is
+    made on frame 0, and a helper process forked when the first result
+    is due runs one band.  The generator stops and reaps the helper
+    when it ends, is closed or raises; if the helper dies, the next
+    frame raises RuntimeError.
 
     Non-finite input is not repaired: one NaN or inf sample spreads
     along its row and column through the spatial filters and stays in

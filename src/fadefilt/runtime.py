@@ -8,8 +8,8 @@ causal filter.  Streaming paths take causal filters only.
 
 Each half runs itself through its private methods (see
 design.LdeCoefficients): the whole-array pass, the stepped array update
-of FrameFilter and the stacked column pass, and FilterState's compiled
-scalar step agree bit for bit; tests rely on that.
+of FrameFilter and FilterState's compiled scalar step agree bit for bit;
+tests rely on that.
 
 The per-pixel paths, FrameFilter and the flow engine's tail, run in
 row strips of about 16 K values (``_row_strips``), so that the planes a
@@ -86,27 +86,6 @@ def _row_strips(height: int, width: int) -> tuple[int, list[slice]]:
     return rows, [slice(r, min(r + rows, height)) for r in range(0, height, rows)]
 
 
-# Values in a frame from which the flow engine runs it as two bands,
-# band 1 in a forked helper process (flow._FlowEngine).  On 2 vCPUs a
-# 40-frame pass took 466 against 736 ms at 256x256, 532 against 826 ms
-# at 320x240 and 1189 against 1959 ms at 480x360, fork included.
-# 128x128 stays on one band: its pass gained less (170 against 206 ms),
-# and its first result, which pays the fork, took twice as long.
-_BAND_VALUES = 65536
-
-
-def _bands(height: int, width: int, split: bool) -> list[tuple[slice, slice]]:
-    """The (rows, columns) bands of a ``height`` x ``width`` frame: two,
-    the top rows with the left columns and the bottom rows with the
-    right columns, when ``split`` and the frame holds at least
-    ``_BAND_VALUES`` values in two or more rows and columns; else one
-    band, the whole frame."""
-    if not split or height * width < _BAND_VALUES or min(height, width) < 2:
-        return [(slice(0, height), slice(0, width))]
-    r, c = height // 2, width // 2
-    return [(slice(0, r), slice(0, c)), (slice(r, height), slice(c, width))]
-
-
 class FrameFilter:
     """Vectorized causal filter over a stream of equally shaped frames:
     one independent state of the half per pixel.  A step
@@ -137,24 +116,6 @@ class FrameFilter:
         for s in self._strips:
             half._step(self.state[:, s], x[s], y[s], t[: s.stop - s.start])
         return y
-
-
-def _stacked_column_pass(half: LdeCoefficients, work: np.ndarray) -> None:
-    """Run both halves of the two-sided pair whose halves are both
-    ``half`` down axis 0 of the k planes work[:, :k] of an (H, 2k, W)
-    ``work``, in place and left unsummed.  work[:, k:] takes the rows
-    reversed, so step i advances the forward half on row i and the
-    backward half on row H-1-i of every plane at once.  Afterwards row
-    i of plane j's pass, the bytes of filter_image_separable(...,
-    Axis.COLS), is work[i, j] + work[::-1][i, k + j]."""
-    k = work.shape[1] // 2
-    # a ufunc copy: np.copyto cannot tell that the reversed slots are
-    # disjoint and would buffer all k planes first
-    np.positive(work[::-1, :k], out=work[:, k:])
-    z = half._held(work[0])
-    t = np.empty(work.shape[1:])
-    for row in work:
-        half._step(z, row, row, t)
 
 
 def _half_passes(filt, x: np.ndarray, axis: int, priming: Priming) -> list[np.ndarray]:

@@ -409,6 +409,22 @@ def test_flow_short_stream_and_strict(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_flow_that_writes_no_frames_says_so_on_stderr(tmp_path, capsys):
+    src = tmp_path / "frames.f32"
+    write_float_stack(src, translating_plaid(3, 16, 16, velocity=(0.5, -0.25)))
+    out = tmp_path / "run"
+    assert main(["flow", "--frames", str(src), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["frames_out"] == 0
+    assert capsys.readouterr().err == (
+        "warning: no frames written: the stream has 3 frames, and a delay of 4 frames "
+        "needs 5 for the first result\n")
+    assert main(["flow", "--frames", str(src), "--out", str(out), "--strict"]) == 4
+    assert capsys.readouterr().err.startswith("error: stream of 3 frames")
+    # one frame out: nothing to say
+    assert main(["flow", "--frames", str(src), "--out", str(out), "--temporal-q", "2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_flow_pgm_directory_input(tmp_path):
     fdir = tmp_path / "frames"
     fdir.mkdir()

@@ -125,6 +125,34 @@ def test_a_directory_without_the_extension_raises_an_import_error_naming_it(tmp_
         design._load_sigtools(str(tmp_path))
 
 
+def test_the_import_time_probe_accepts_the_loaded_recursion():
+    design._check_linear_filter(_linear_filter)
+
+
+def _one_ulp_off(*args):
+    y, zf = _linear_filter(*args)
+    return np.nextafter(y, np.inf), zf
+
+
+def _zf_negated(*args):
+    y, zf = _linear_filter(*args)
+    return y, -zf
+
+
+def _float32(*args):
+    return tuple(v.astype(np.float32) for v in _linear_filter(*args))
+
+
+def _no_zi(b, a, x, axis, zi=None):
+    return _linear_filter(b, a, x, axis), zi
+
+
+@pytest.mark.parametrize("fake", [_one_ulp_off, _zf_negated, _float32, _no_zi])
+def test_the_import_time_probe_rejects_another_recursion_naming_scipy(fake):
+    with pytest.raises(ImportError, match=rf"of scipy {scipy.__version__} does not"):
+        design._check_linear_filter(fake)
+
+
 def test_no_run_imports_scipy_signal(tmp_path):
     script = (
         "import contextlib, io, json, sys\n"

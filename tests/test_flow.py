@@ -10,14 +10,14 @@ from fadefilt.design import LdeCoefficients, NonCausalPair
 from fadefilt.flow import (
     FlowConfig,
     FlowField,
+    _stacked_column_pass,
     background_disparity,
     process_sequence,
     solve_flow,
 )
 from fadefilt.response import group_delay
 from fadefilt.runtime import (
-    Axis, FrameFilter, Priming, _stacked_column_pass, filter_image_separable,
-    filter_time_stack,
+    Axis, FrameFilter, Priming, filter_image_separable, filter_time_stack,
 )
 from fadefilt.synthetic import add_gaussian_blob, translating_plaid
 

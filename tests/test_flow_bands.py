@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fadefilt import flow, runtime
+from fadefilt import flow
 from fadefilt.flow import FlowConfig, process_sequence
 from fadefilt.synthetic import add_gaussian_blob, translating_plaid
 
@@ -41,7 +41,7 @@ def bands(two: bool):
         return pid
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(runtime, "_BAND_VALUES", 1 if two else 2**62)
+        mp.setattr(flow, "_BAND_VALUES", 1 if two else 2**62)
         mp.setattr(os, "fork", fork)
         yield forks
 
@@ -203,10 +203,10 @@ def test_a_refused_fork_runs_both_bands_here_and_leaks_no_pipe():
 def test_the_helper_never_flushes_what_its_caller_printed():
     script = (
         "import sys\n"
-        "from fadefilt import runtime\n"
+        "from fadefilt import flow\n"
         "from fadefilt.flow import process_sequence\n"
         "from fadefilt.synthetic import translating_plaid\n"
-        "runtime._BAND_VALUES = 1\n"
+        "flow._BAND_VALUES = 1\n"
         "print('printed once')\n"
         "results = list(process_sequence(translating_plaid(8, 16, 16, (0.3, 0.1))))\n"
         "print(len(results))\n"
@@ -233,6 +233,37 @@ def test_nothing_forks_while_a_second_thread_runs():
         stop.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
+    assert forks == []
+    with bands(False):
+        same_bits(got, list(process_sequence(FRAMES)))
+
+
+def test_a_thread_started_after_frame_0_keeps_both_bands_here():
+    # the split is made on frame 0, before the thread starts; the fork,
+    # due at the first result, must see the thread and not happen
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    splits = []
+    real_bands = flow._bands
+
+    def spy(*args):
+        splits.append(real_bands(*args))
+        return splits[-1]
+
+    def producer():
+        yield FRAMES[0]
+        waiter.start()
+        yield from FRAMES[1:]
+
+    try:
+        with bands(True) as forks, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow, "_bands", spy)
+            got = list(process_sequence(producer()))
+    finally:
+        stop.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert [len(split) for split in splits] == [2]
     assert forks == []
     with bands(False):
         same_bits(got, list(process_sequence(FRAMES)))
