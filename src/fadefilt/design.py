@@ -68,16 +68,22 @@ _linear_filter = (sys.modules.get(_SIGTOOLS)
 
 def _check_linear_filter(linear_filter) -> None:
     """Raise ImportError naming scipy's version unless ``linear_filter``
-    gives the recursion and final state above on an order-2 case whose
-    every intermediate value is a short dyadic fraction, exact in
-    float64, so that no rounding order or fused multiply-add moves a bit."""
-    y, zf = linear_filter(np.array([0.5, -0.25, 0.125]), np.array([1.0, -0.75, 0.5]),
-                          np.array([1.0, -2.0, 3.0, 0.5, -1.5]), 0, np.array([0.25, -0.5]))
+    takes the arguments above and gives the recursion and final state
+    above on an order-2 case whose every intermediate value is a short
+    dyadic fraction, exact in float64, so that no rounding order or
+    fused multiply-add moves a bit."""
+    def mismatch(what: str) -> ImportError:
+        return ImportError(f"{_SIGTOOLS}._linear_filter of scipy {scipy.__version__} does not "
+                           f"{what} as fadefilt expects (checked on scipy 1.17.1)", name=_SIGTOOLS)
+
+    try:
+        y, zf = linear_filter(np.array([0.5, -0.25, 0.125]), np.array([1.0, -0.75, 0.5]),
+                              np.array([1.0, -2.0, 3.0, 0.5, -1.5]), 0, np.array([0.25, -0.5]))
+    except (TypeError, ValueError) as error:  # another signature, or not (y, zf) back
+        raise mismatch(f"take lfilter's arguments ({error})") from error
     want = [0.75, -1.1875, 0.859375, 0.48828125, -0.5634765625, -0.229248046875, 0.09423828125]
     if np.asarray(y).tobytes() + np.asarray(zf).tobytes() != np.array(want).tobytes():
-        raise ImportError(f"{_SIGTOOLS}._linear_filter of scipy {scipy.__version__} does not "
-                          "compute lfilter's recursion as fadefilt expects (checked on scipy "
-                          "1.17.1)", name=_SIGTOOLS)
+        raise mismatch("compute lfilter's recursion")
 
 
 _check_linear_filter(_linear_filter)
@@ -194,25 +200,38 @@ class LdeCoefficients:
         zi = self._held(x.swapaxes(0, axis)[0]).swapaxes(0, axis)
         return _linear_filter(self.b, self.a, x, axis, zi)[0]
 
+    @functools.cached_property
+    def _taps(self) -> tuple[list, list]:
+        """b and a as lists of 0-d views, made on first use and kept.  A
+        ufunc takes a 0-d array as it is but converts a Python or numpy
+        float scalar on every call, which costs a multiply over a (10, 64)
+        row about a third of its time."""
+        return tuple([c[i, ...] for i in range(len(c))] for c in (self.b, self.a))
+
     def _step(self, z: np.ndarray, x: np.ndarray, out, t: np.ndarray) -> np.ndarray:
         """One step of the delay lines z over every element of x, in
         lfilter's order: y = b0*x + z[0], z[i] = (z[i+1] + b[i+1]*x) -
         a[i+1]*y.  ``t`` is scratch shaped like x; ``out`` may be x.  Every
         product with x is taken before y is written (z[i] gains b[i]*x for
-        z[i-1], ``t`` takes b[n]*x), so order 1 costs five ufunc calls."""
-        b, a, n = self.b, self.a, self.order
+        z[i-1], ``t`` takes b[n]*x), so order 1 costs five ufunc calls.
+        The taps are bound once (``_taps``) and each delay line's view is
+        taken once a call, so a step over a short row costs little more
+        than its ufunc calls."""
+        b, a = self._taps
+        n = len(a) - 1
         if n == 0:
             return np.multiply(x, b[0], out=out)
         # z[i, ...] stays an array view even for 0-d frames, where z[i]
         # would be a numpy scalar that cannot take out=
+        z = [z[i, ...] for i in range(n)]
         for i in range(1, n):
-            z[i, ...] += np.multiply(x, b[i], out=t)
+            z[i] += np.multiply(x, b[i], out=t)
         np.multiply(x, b[n], out=t)
         y = np.multiply(x, b[0], out=out)
         y += z[0]
         for i in range(n - 1):
-            np.subtract(z[i + 1], np.multiply(y, a[i + 1], out=z[i, ...]), out=z[i, ...])
-        np.subtract(t, np.multiply(y, a[n], out=z[n - 1, ...]), out=z[n - 1, ...])
+            np.subtract(z[i + 1], np.multiply(y, a[i + 1], out=z[i]), out=z[i])
+        np.subtract(t, np.multiply(y, a[n], out=z[n - 1]), out=z[n - 1])
         return y
 
     def _scalar_step(self, z: list):

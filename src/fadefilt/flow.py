@@ -159,12 +159,24 @@ def _can_fork() -> bool:
 
 
 # Values in a frame from which the flow engine runs it as two bands,
-# band 1 in a forked helper process (_FlowEngine).  On 2 vCPUs a
-# 40-frame pass took 466 against 736 ms at 256x256, 532 against 826 ms
-# at 320x240 and 1189 against 1959 ms at 480x360, fork included.
-# 128x128 stays on one band: its pass gained less (170 against 206 ms),
-# and its first result, which pays the fork, took twice as long.
-_BAND_VALUES = 65536
+# band 1 in a forked helper process (_FlowEngine).  process_sequence
+# over 40 frames cycled to 400, two bands against one in interleaved
+# pairs on 2 vCPUs, fork included, in two rounds of 8 and 12 pairs:
+#
+#   frame    pairs two bands won   median time, two bands : one
+#   64x64    15 of 20              1.05, 0.89
+#   72x72    12 of 20              0.92, 0.91
+#   80x80    14 of 20              0.98, 0.86
+#   88x88    16 of 20              0.87, 0.85
+#   96x96    18 of 20              0.92, 0.78
+#   128x128  19 of 20              0.94, 0.77
+#
+# Two bands win from 64x64 more often than not, but 9 times in 10 only
+# from 96x96, and the helper costs a second process (about 5 MB more
+# summed PSS at 128x128) and 5-8 ms more for the first result, which
+# pays the fork.  So two bands start at 8192 values, about 90x90.  From
+# 256x256 up they take about 0.6 of the time.
+_BAND_VALUES = 8192
 
 
 def _bands(height: int, width: int, split: bool) -> list[tuple[slice, slice]]:
@@ -250,7 +262,8 @@ class _FlowEngine:
 
     The spatial path runs on the frame the temporal derivative refers
     to, q = frame_delay frames back.  The engine steps I_z on each of
-    the first q frames and copies it, then allocates the delay line
+    the first q frames into private scratch, as no result reads those
+    values, and copies the frame, then allocates the delay line
     when the first result is due, a ring of q + 1 planes: each frame is
     copied into the slot that held frame n - q - 1, and the spatial
     path reads the next slot, frame n - q.  So the delay line holds no
@@ -329,8 +342,12 @@ class _FlowEngine:
         n, q = self._frames, self.cfg.frame_delay
         self._frames += 1
         if n < q:
+            # into private scratch: band 1's rows of the shared I_z plane are
+            # the helper's to write, and pages this process wrote there
+            # would stay in its memory too
             for band in self._bands:
-                band.iz.step(frame[band.rows], out=self._g[2, band.rows])
+                rows = band.rows.stop - band.rows.start
+                band.iz.step(frame[band.rows], out=self._product[:rows])
             self._seen.append(frame.copy())
             return None
         if n == q:

@@ -7,6 +7,7 @@ import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -151,6 +152,22 @@ def _no_zi(b, a, x, axis, zi=None):
 def test_the_import_time_probe_rejects_another_recursion_naming_scipy(fake):
     with pytest.raises(ImportError, match=rf"of scipy {scipy.__version__} does not"):
         design._check_linear_filter(fake)
+
+
+def _no_axis(b, a, x, zi=None):
+    return _linear_filter(b, a, x, 0, zi)
+
+
+def _y_alone(b, a, x, axis, zi=None):
+    return _linear_filter(b, a, x, axis)
+
+
+@pytest.mark.parametrize("fake", [_no_axis, _y_alone])
+def test_the_import_time_probe_turns_another_signature_into_an_import_error(fake):
+    with pytest.raises(ImportError, match=rf"of scipy {re.escape(scipy.__version__)} does not "
+                       r"take lfilter's arguments \(") as raised:
+        design._check_linear_filter(fake)
+    assert isinstance(raised.value.__cause__, (TypeError, ValueError))
 
 
 def test_no_run_imports_scipy_signal(tmp_path):

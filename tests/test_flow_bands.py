@@ -5,6 +5,7 @@ fork is unsafe."""
 
 import contextlib
 import hashlib
+import math
 import os
 import signal
 import subprocess
@@ -28,9 +29,8 @@ pytestmark = pytest.mark.skipif(not flow._can_fork(),
 
 
 @contextlib.contextmanager
-def bands(two: bool):
-    """Frames of any size run on two bands (when they have two rows and
-    two columns), or every frame on one; yields the list of forked pids."""
+def spied_forks():
+    """Yields the list of pids that os.fork returns to its caller."""
     forks = []
     real_fork = os.fork
 
@@ -41,8 +41,16 @@ def bands(two: bool):
         return pid
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flow, "_BAND_VALUES", 1 if two else 2**62)
         mp.setattr(os, "fork", fork)
+        yield forks
+
+
+@contextlib.contextmanager
+def bands(two: bool):
+    """Frames of any size run on two bands (when they have two rows and
+    two columns), or every frame on one; yields the list of forked pids."""
+    with spied_forks() as forks, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_BAND_VALUES", 1 if two else 2**62)
         yield forks
 
 
@@ -110,18 +118,66 @@ def test_two_bands_read_a_refilled_buffer_and_keep_each_result(q):
     assert_no_child()
 
 
-def test_multi_strip_outputs_are_pinned_under_two_bands():
-    with bands(True) as forks:
-        results = list(process_sequence(multi_strip_stream()))
-    assert len(forks) == 1
+def multi_strip_digests() -> dict:
+    results = list(process_sequence(multi_strip_stream()))
     planes = {"vx": [r.flow.vx for r in results], "vy": [r.flow.vy for r in results],
               "dj": [r.disparity for r in results]}
-    got = {k: hashlib.sha256(b"".join(p.tobytes() for p in v)).hexdigest()
-           for k, v in planes.items()}
+    return {k: hashlib.sha256(b"".join(p.tobytes() for p in v)).hexdigest()
+            for k, v in planes.items()}
+
+
+def test_multi_strip_outputs_are_pinned_under_two_bands():
+    with bands(True) as forks:
+        got = multi_strip_digests()
+    assert len(forks) == 1
     assert got == MULTI_STRIP_SHA256
 
 
+def test_multi_strip_outputs_are_pinned_under_one_band():
+    # 21x1600 frames run on two bands when nothing is patched
+    with bands(False) as forks:
+        got = multi_strip_digests()
+    assert forks == []
+    assert got == MULTI_STRIP_SHA256
+
+
+def test_128x128_frames_run_on_two_bands_and_small_ones_on_one():
+    assert len(flow._bands(128, 128, True)) == 2
+    assert len(flow._bands(128, 128, False)) == 1
+    # 64x64, where two bands did not win 9 pairs in 10, the square just
+    # under the threshold, and a single row
+    below = math.isqrt(flow._BAND_VALUES - 1)
+    for height, width in ((64, 64), (below, below), (1, 4 * flow._BAND_VALUES)):
+        assert len(flow._bands(height, width, True)) == 1
+
+
+def test_an_unpatched_128x128_stream_forks_one_helper_and_keeps_the_bits():
+    frames = scene(7, 128, 128, 5)
+    with bands(False):
+        want = list(process_sequence(frames))
+    with spied_forks() as forks:
+        got = list(process_sequence(frames))
+    assert len(forks) == 1
+    same_bits(got, want)
+    assert_no_child()
+
+
 FRAMES = scene(12, 16, 20, 3)
+
+
+def test_frames_before_the_first_result_write_no_shared_plane():
+    # band 1's rows of a shared plane that the caller wrote would stay in
+    # its memory as well as in the helper's
+    with bands(True) as forks:
+        engine = flow._FlowEngine(FlowConfig(), FRAMES[0])
+        try:
+            for frame in FRAMES[: engine.cfg.frame_delay]:
+                assert engine.step(frame) is None
+            assert len(engine._bands) == 2
+            assert not engine._g.any()
+        finally:
+            engine.close()
+    assert forks == []
 
 
 @pytest.mark.parametrize("how", ["break", "close"])

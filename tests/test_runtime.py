@@ -161,6 +161,25 @@ def test_frame_step_in_place_matches_separate_out(order, priming):
         assert want.tobytes() == got.tobytes()
 
 
+@pytest.mark.parametrize("priming", list(Priming))
+@pytest.mark.parametrize("order", [0, 1, 4, 11])
+def test_step_down_the_rows_is_the_whole_pass_bitwise(order, priming):
+    lde, hold = _of_order(order), priming is Priming.HOLD_FIRST
+    x = np.random.default_rng(order).standard_normal((30, 7))
+    want = lde._pass(x, 0, hold)
+    # out apart, and in place on each row as the flow's column pass steps
+    for in_place in (False, True):
+        z = lde._held(x[0]) if hold else np.zeros((order, 7))
+        rows, t = x.copy(), np.empty(7)
+        got = np.stack([lde._step(z, row, row if in_place else None, t) for row in rows])
+        assert got.tobytes() == want.tobytes()
+    # 0-d samples, whose step yields numpy scalars
+    signal = x[:, 0]
+    z = lde._held(signal[0]) if hold else np.zeros(order)
+    got = np.array([lde._step(z, np.asarray(v), None, np.empty(())) for v in signal])
+    assert got.tobytes() == lde._pass(signal, 0, hold).tobytes()
+
+
 # several row strips each, the last one partial
 STRIPPED_SHAPES = [(19, 2048), (40000,), (11, 5, 700)]
 
