@@ -133,7 +133,10 @@ class FloatStackReader:
 
     def __init__(self, path):
         self.path = Path(path)
-        meta = json.loads(_sidecar(path).read_text())
+        try:
+            meta = json.loads(_sidecar(path).read_text())
+        except json.JSONDecodeError as e:
+            raise ValueError(f"bad sidecar for {path}: {e}") from None
         if not isinstance(meta, dict):
             raise ValueError(f"bad sidecar for {path}: expected a JSON object")
         w, h, nf = (_whole(meta.get(field), f"bad sidecar for {path}: {field!r}", least)
@@ -237,7 +240,10 @@ def read_signal_csv(path) -> np.ndarray:
         for number, line in enumerate(f, start=1):
             line = line.strip()
             if line and not line.startswith("#"):
-                vals.append(float(line))
+                try:
+                    vals.append(float(line))
+                except ValueError:
+                    raise ValueError(f"{path}: line {number} is not a number: {line!r}") from None
                 if not math.isfinite(vals[-1]):
                     raise ValueError(f"{path}: line {number} has a non-finite sample {line!r}")
     if not vals:

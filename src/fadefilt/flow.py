@@ -43,6 +43,7 @@ import mmap
 import os
 import signal
 import threading
+import traceback
 import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -191,17 +192,12 @@ def _bands(height: int, width: int, split: bool) -> list[tuple[slice, slice]]:
     return [(slice(0, r), slice(0, c)), (slice(r, height), slice(c, width))]
 
 
-def _planes(*specs) -> list[np.ndarray]:
-    """Arrays of the (shape, dtype) ``specs``, carved in order out of one
-    anonymous shared mmap, which a forked process sees and writes.  A
-    page costs memory only once it is written."""
-    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
-    buffer = np.frombuffer(mmap.mmap(-1, sum(sizes)), np.uint8)
-    planes, offset = [], 0
-    for (shape, dtype), size in zip(specs, sizes):
-        planes.append(buffer[offset:offset + size].view(dtype).reshape(shape))
-        offset += size
-    return planes
+def _shared(shape, dtype=float) -> np.ndarray:
+    """A zeroed array of ``shape`` in its own anonymous shared mmap,
+    which a forked process sees and writes.  A page costs memory only
+    once it is written."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
 
 
 def _stacked_column_pass(half: LdeCoefficients, work: np.ndarray) -> None:
@@ -261,14 +257,16 @@ class _FlowEngine:
     functions, so results match them bit for bit.
 
     The spatial path runs on the frame the temporal derivative refers
-    to, q = frame_delay frames back.  The engine steps I_z on each of
-    the first q frames into private scratch, as no result reads those
-    values, and copies the frame, then allocates the delay line
-    when the first result is due, a ring of q + 1 planes: each frame is
-    copied into the slot that held frame n - q - 1, and the spatial
-    path reads the next slot, frame n - q.  So the delay line holds no
-    more planes than frames seen, and a producer may refill one buffer
-    for every frame.
+    to, q = frame_delay frames back.  The delay line is a ring of shared
+    planes from frame 0 on: frame n is copied once, into slot n mod
+    (q + 1), and the spatial path reads the next slot, frame n - q.  A
+    frame that finds the ring full while it holds fewer than q + 1
+    planes grows it in one new mapping by as many planes as it holds
+    (at least one, never past q + 1), so a full ring takes
+    ceil(log2(q + 1)) + 1 mappings and, as unwritten pages cost no
+    memory, the delay line holds no more frames than were seen.  A
+    producer may refill one buffer for every frame.  On the first q
+    frames I_z steps into private scratch, as no result reads it.
 
     A frame runs in four stages, each over a band: the gradients (the
     band's rows of I_z and I_x, its columns of I_y), the products and
@@ -311,15 +309,14 @@ class _FlowEngine:
         self._smoother = cfg.spatial_smoother()
         self._temporal_smoother = cfg.temporal_smoother()
         self._frames = 0
-        self._seen: list[np.ndarray | None] = []
+        self._ring: list[np.ndarray] = []
+        self._now = _shared((), np.int64)
         self._pipes: tuple[int, int] | None = None
         split = _bands(height, width, _can_fork())
-        # the bool plane last keeps every plane aligned to its item size
-        self._g, *works, (vx, vy, dj), valid = _planes(
-            ((3, height, width), float),
-            *[((height, 10, c.stop - c.start), float) for _, c in split],
-            ((3, height, width), float), ((height, width), bool))
-        self._shared_out = vx, vy, valid, dj
+        self._g = _shared((3, height, width))
+        works = [_shared((height, 10, c.stop - c.start)) for _, c in split]
+        vx, vy, dj = _shared((3, height, width))
+        self._shared_out = vx, vy, _shared((height, width), bool), dj
         iz = cfg.temporal_differentiator()
         self._bands = []
         for (rows, cols), work in zip(split, works):
@@ -339,8 +336,12 @@ class _FlowEngine:
         """Feed the next input frame, a float array of frame 0's shape
         that the engine only reads; the result for frame n - q, or None
         while the delay line fills."""
-        n, q = self._frames, self.cfg.frame_delay
+        n, q, ring = self._frames, self.cfg.frame_delay, self._ring
         self._frames += 1
+        if len(ring) == n <= q:  # full, and short of q + 1 planes
+            ring.extend(_shared((min(max(n, 1), q + 1 - n), *self.shape)))
+        now = n % (q + 1)
+        np.copyto(ring[now], frame)
         if n < q:
             # into private scratch: band 1's rows of the shared I_z plane are
             # the helper's to write, and pages this process wrote there
@@ -348,12 +349,10 @@ class _FlowEngine:
             for band in self._bands:
                 rows = band.rows.stop - band.rows.start
                 band.iz.step(frame[band.rows], out=self._product[:rows])
-            self._seen.append(frame.copy())
             return None
-        if n == q:
-            self._start()
-        now = int(self._now)
-        np.copyto(self._ring[now], frame)
+        if n == q and len(self._bands) > 1:
+            self._fork()
+        self._now[...] = now
         field = FlowField(
             vx=np.empty(self.shape), vy=np.empty(self.shape), valid=np.empty(self.shape, bool)
         )
@@ -361,7 +360,6 @@ class _FlowEngine:
         self._out = field, dj
         for stage in range(len(self._STAGES)):
             self._run(stage)
-        self._now[...] = (now + 1) % len(self._ring)
         if self._pipes:
             rows = self._bands[1].rows
             for mine, theirs in zip((field.vx, field.vy, field.valid, dj), self._shared_out):
@@ -374,19 +372,6 @@ class _FlowEngine:
         """Stop and reap the helper process, if one was forked."""
         if self._pipes:
             self._reap()
-
-    def _start(self) -> None:
-        """Allocate the delay line, take in the frames seen so far and,
-        with two bands, fork the helper."""
-        q = self.cfg.frame_delay
-        self._now, self._ring = _planes(((), np.int64), ((q + 1, *self.shape), float))
-        # each copy is dropped once it is in the ring, so that the copies
-        # and the ring never both hold all q frames
-        for i, frame in enumerate(self._seen):
-            self._ring[i], self._seen[i] = frame, None
-        self._now[...] = q
-        if len(self._bands) > 1:
-            self._fork()
 
     def _fork(self) -> None:
         """Fork the helper, which serves band 1 until it is stopped.  If a
@@ -417,6 +402,10 @@ class _FlowEngine:
                 self._out = FlowField(vx=vx, vy=vy, valid=valid), dj
                 self._serve(commands[0], done[1])
                 status = 0
+            except BaseException:
+                # say why to fd 2 itself: sys.stderr would flush the
+                # stdio buffers inherited from the caller
+                os.write(2, traceback.format_exc().encode())
             finally:
                 # never return into the caller's code, nor flush the
                 # stdio buffers it holds

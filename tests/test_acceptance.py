@@ -4,6 +4,7 @@ Each test prints the same one-line report the selftest command emits,
 so `pytest -v -s tests/test_acceptance.py` reads as the full scorecard.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -28,10 +29,22 @@ def test_criterion_count():
     assert len(acceptance.CRITERIA) == 11
 
 
-def test_perturbed_coefficient_is_caught():
-    # sensitivity check: a 1e-3 nudge on one tabulated coefficient must
-    # flip the equivalence criterion to FAIL
-    passed, detail = acceptance.check_closed_form_equivalence(perturb=1e-3)
+def test_perturbed_coefficient_is_caught(monkeypatch):
+    # sensitivity check: a 1e-3 nudge on the first tabulated coefficient
+    # must flip the equivalence criterion to FAIL
+    real, calls = acceptance.closed_form_coefficients, []
+
+    def nudged(*args, **kwargs):
+        ref = real(*args, **kwargs)
+        calls.append(ref)
+        if len(calls) > 1:
+            return ref
+        b = ref.b.copy()
+        b[0] += 1e-3
+        return dataclasses.replace(ref, b=b)
+
+    monkeypatch.setattr(acceptance, "closed_form_coefficients", nudged)
+    passed, detail = acceptance.check_closed_form_equivalence()
     assert not passed, detail
 
 

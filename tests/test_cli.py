@@ -229,6 +229,17 @@ def test_filter_csv_rejects_non_finite_samples(tmp_path, capsys, bad):
     assert not dst.exists()
 
 
+def test_filter_csv_sample_that_is_not_a_number_names_its_file_and_line(tmp_path, capsys):
+    coeff = design_file(tmp_path)
+    src = tmp_path / "in.csv"
+    src.write_text("1.0\n2,5\n")
+    dst = tmp_path / "out.csv"
+    assert main(["filter", "--coeff", str(coeff), "--input", str(src),
+                 "--out", str(dst)]) == 2
+    assert capsys.readouterr().err == f"error: {src}: line 2 is not a number: '2,5'\n"
+    assert not dst.exists()
+
+
 def test_filter_pgm_rows(tmp_path):
     coeff = design_file(tmp_path)
     src = tmp_path / "in.pgm"
@@ -612,6 +623,15 @@ def test_flow_rejects_bad_sidecar(tmp_path, capsys):
     assert main(["flow", "--frames", str(src), "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err == (
         f"error: bad sidecar for {src}: 'width' must be an integer >= 1, got -4\n")
+
+
+def test_flow_sidecar_that_is_not_json_names_the_stack(tmp_path, capsys):
+    src = tmp_path / "frames.f32"
+    src.write_bytes(np.zeros(16, dtype="<f4").tobytes())
+    (tmp_path / "frames.f32.json").write_text("{width: 4}")
+    assert main(["flow", "--frames", str(src), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: bad sidecar for {src}: Expecting property name enclosed in double quotes")
 
 
 @pytest.mark.parametrize("kind", ["f32", "pgm"])

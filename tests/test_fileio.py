@@ -209,6 +209,16 @@ def test_float_stack_sidecar_fields_are_validated(tmp_path, meta, field):
             reader(path)
 
 
+def test_float_stack_sidecar_that_is_not_json_names_the_stack(tmp_path):
+    path = tmp_path / "bad.f32"
+    path.write_bytes(np.zeros(16, dtype="<f4").tobytes())
+    (tmp_path / "bad.f32.json").write_text("{width: 4}")
+    for reader in (read_float_stack, FloatStackReader):
+        with pytest.raises(ValueError, match=f"^bad sidecar for {re.escape(str(path))}: "
+                                             "Expecting property name"):
+            reader(path)
+
+
 def test_signal_csv_round_trip(tmp_path):
     x = np.array([1.0, -0.25, 3.3e-17, 12345.678])
     path = tmp_path / "sig.csv"
@@ -227,6 +237,15 @@ def test_signal_csv_rejects_non_finite_samples_by_line(tmp_path, bad):
     path = tmp_path / "sig.csv"
     path.write_text(f"# header\n1.5\n\n{bad}\n2.5\n")
     with pytest.raises(ValueError, match="line 4 has a non-finite sample"):
+        read_signal_csv(path)
+
+
+@pytest.mark.parametrize("bad", ["2,5", "x", "1.5.2"])
+def test_signal_csv_names_the_file_and_line_of_a_sample_that_is_not_a_number(tmp_path, bad):
+    path = tmp_path / "sig.csv"
+    path.write_text(f"# header\n1.5\n{bad}\n")
+    message = f"{path}: line 3 is not a number: {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_signal_csv(path)
 
 

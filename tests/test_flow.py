@@ -10,6 +10,7 @@ from fadefilt.design import LdeCoefficients, NonCausalPair
 from fadefilt.flow import (
     FlowConfig,
     FlowField,
+    _FlowEngine,
     _stacked_column_pass,
     background_disparity,
     process_sequence,
@@ -390,3 +391,22 @@ def test_delay_line_holds_only_the_frames_seen():
     # runs, and a stream shorter than q yields nothing
     frames = translating_plaid(10, 16, 16, (0.5, 0.0))
     assert list(process_sequence(frames, FlowConfig(temporal_q=1e12))) == []
+
+
+def test_the_ring_holds_the_frames_seen_in_few_mappings():
+    # frame n fills its plane with n + 1, so a written plane is nonzero
+    # and names its frame; unwritten planes stay zero and cost no memory
+    q = 100
+    engine = _FlowEngine(FlowConfig(temporal_q=q), np.ones((4, 5)))
+    try:
+        for seen in range(1, q + 12):
+            engine.step(np.full((4, 5), float(seen)))
+            ring = engine._ring
+            written = sorted(plane[0, 0] for plane in ring if plane.any())
+            held = min(seen, q + 1)
+            assert written == list(range(seen - held + 1, seen + 1))
+            assert len(ring) <= min(2 * seen, q + 1)
+            assert len({id(plane.base) for plane in ring}) <= math.ceil(math.log2(q + 1)) + 1
+        assert len(ring) == q + 1
+    finally:
+        engine.close()

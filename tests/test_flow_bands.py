@@ -76,7 +76,7 @@ def scene(frames: int, height: int, width: int, seed: int) -> np.ndarray:
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(height=st.integers(1, 23), width=st.integers(1, 29), q=st.sampled_from([0, 4]),
+@given(height=st.integers(1, 23), width=st.integers(1, 29), q=st.sampled_from([0, 1, 2, 4, 9]),
        extra=st.integers(1, 4), seed=st.integers(0, 2**16))
 def test_two_bands_give_the_bits_of_one(height, width, q, extra, seed):
     cfg = FlowConfig(temporal_q=q)
@@ -224,6 +224,26 @@ def test_a_killed_helper_raises_runtime_error_and_never_hangs():
         os.kill(forks[0], signal.SIGKILL)
         with pytest.raises(RuntimeError, match=f"flow helper process {forks[0]} "):
             list(stream)
+    assert_no_child()
+
+
+def test_a_helper_that_fails_says_why_on_stderr(capfd):
+    caller, tail = os.getpid(), flow._FlowEngine._STAGES[3]
+
+    def tail_failing_in_the_helper(engine, band):
+        if os.getpid() != caller:
+            raise MemoryError("no room for the strip tail")
+        tail(engine, band)
+
+    stages = (*flow._FlowEngine._STAGES[:3], tail_failing_in_the_helper)
+    with deadline(60), bands(True) as forks, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow._FlowEngine, "_STAGES", stages)
+        with pytest.raises(RuntimeError) as raised:
+            list(process_sequence(FRAMES))
+    assert str(raised.value) == f"flow helper process {forks[0]} has exited"
+    err = capfd.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert err.endswith("MemoryError: no room for the strip tail\n")
     assert_no_child()
 
 
