@@ -219,21 +219,22 @@ def _stacked_column_pass(half: LdeCoefficients, work: np.ndarray) -> None:
 
 
 def _stop_helper(pid: int, commands: int, done: int, owner: int) -> None:
-    """Tell the helper to exit, close its pipes and, in the process that
-    forked it, reap it.  The stop byte reaches the helper even when a
-    later fork holds a copy of the command pipe, which would keep EOF
-    from it."""
-    try:
-        os.write(commands, b"\xff")
-    except BrokenPipeError:  # the helper is gone already
-        pass
-    os.close(commands)
-    os.close(done)
+    """In the process that forked the helper, tell it to exit and reap
+    it; in any process, close the copies of its pipes, so a process
+    forked from the owner never stops its helper.  The stop byte reaches
+    the helper even when a later fork holds a copy of the command pipe,
+    which would keep EOF from it."""
     if os.getpid() == owner:
+        try:
+            os.write(commands, b"\xff")
+        except BrokenPipeError:  # the helper is gone already
+            pass
         try:
             os.waitpid(pid, 0)
         except ChildProcessError:  # reaped already
             pass
+    os.close(commands)
+    os.close(done)
 
 
 @dataclass(frozen=True)
@@ -248,25 +249,25 @@ class _Band:
 class _FlowEngine:
     """Filters, delay line and workspace of one frame stream.
 
-    The engine is built on frame 0: it splits the frame into bands
-    (below), hold-primes each band's order-4 temporal differentiator, a
-    FrameFilter, on that band's rows of frame 0, and allocates every
-    plane but the delay line from frame 0's shape, to be reused for
-    each later frame.  Each stage writes into its buffer with out=
-    ufuncs, in the floating-point order of the standalone stage
-    functions, so results match them bit for bit.
-
     The spatial path runs on the frame the temporal derivative refers
-    to, q = frame_delay frames back.  The delay line is a ring of shared
-    planes from frame 0 on: frame n is copied once, into slot n mod
-    (q + 1), and the spatial path reads the next slot, frame n - q.  A
-    frame that finds the ring full while it holds fewer than q + 1
+    to, q = frame_delay frames back, so the first result is due at
+    frame q, and until then a frame only fills the delay line, a ring of
+    shared planes from frame 0 on.  Frame n is copied once, into slot n
+    mod (q + 1), and the spatial path reads the next slot, frame n - q.
+    A frame that finds the ring full while it holds fewer than q + 1
     planes grows it in one new mapping by as many planes as it holds
     (at least one, never past q + 1), so a full ring takes
     ceil(log2(q + 1)) + 1 mappings and, as unwritten pages cost no
     memory, the delay line holds no more frames than were seen.  A
-    producer may refill one buffer for every frame.  On the first q
-    frames I_z steps into private scratch, as no result reads it.
+    producer may refill one buffer for every frame.
+
+    At frame q the engine starts (_start): it splits the frame into
+    bands (below), allocates every other plane for reuse on each later
+    frame, and steps each band's order-4 temporal differentiator, a
+    FrameFilter hold-primed on the band's rows of frame 0, over frames
+    0 to q - 1.  Each stage writes into its buffer with out= ufuncs, in
+    the floating-point order of the standalone stage functions, so
+    results match them bit for bit.
 
     A frame runs in four stages, each over a band: the gradients (the
     band's rows of I_z and I_x, its columns of I_y), the products and
@@ -282,18 +283,17 @@ class _FlowEngine:
     strip's planes stay in cache between these stages, where
     whole-frame planes would stream through memory once per ufunc.
 
-    Frame 0 is split into two bands when it is large enough (_bands)
+    The frame is split into two bands when it is large enough (_bands)
     and the process can fork (_can_fork); else one band, the whole
     frame, runs in this process.  With two bands, a helper process
-    forked when the first result is due runs band 1 while this process
-    runs band 0, with a 1-byte pipe round trip between stages.  The
-    planes both bands touch (the delay line and its position, the
-    gradients, the workspaces and band 1's outputs) live in anonymous
-    shared mmaps; the differentiator and temporal smoother states of a
-    band's rows stay private to the process that steps them.  Every
-    value gets the operations of one whole-frame call, so two bands
-    give the bits of one.  If a thread has started since frame 0, or
-    the system refuses the fork, this process runs both bands.
+    forked by _start runs band 1 while this process runs band 0, with a
+    1-byte pipe round trip between stages.  The planes both bands touch
+    (the delay line and its position, the gradients, the workspaces and
+    band 1's outputs) live in anonymous shared mmaps; the differentiator
+    and temporal smoother states of a band's rows stay private to the
+    process that steps them.  Every value gets the operations of one
+    whole-frame call, so two bands give the bits of one.  If the system
+    refuses a pipe or the fork, this process runs both bands.
 
     The temporal product smoother starts from zero state.  A shared
     start-up attenuation on all five products cancels in the flow solve
@@ -304,33 +304,42 @@ class _FlowEngine:
 
     def __init__(self, cfg: FlowConfig, first_frame: np.ndarray):
         self.cfg = cfg
-        self.shape = height, width = first_frame.shape
+        self.shape = first_frame.shape
         self._differentiator = cfg.spatial_differentiator()
+        self._iz = cfg.temporal_differentiator()
         self._smoother = cfg.spatial_smoother()
         self._temporal_smoother = cfg.temporal_smoother()
         self._frames = 0
         self._ring: list[np.ndarray] = []
-        self._now = _shared((), np.int64)
         self._pipes: tuple[int, int] | None = None
+
+    def _start(self) -> None:
+        """Build the bands, their planes and the helper once the ring holds frames 0 to q."""
+        height, width = self.shape
         split = _bands(height, width, _can_fork())
+        self._now = _shared((), np.int64)
         self._g = _shared((3, height, width))
         works = [_shared((height, 10, c.stop - c.start)) for _, c in split]
         vx, vy, dj = _shared((3, height, width))
         self._shared_out = vx, vy, _shared((height, width), bool), dj
-        iz = cfg.temporal_differentiator()
         self._bands = []
         for (rows, cols), work in zip(split, works):
             band_height = rows.stop - rows.start
             strip_rows, strips = _row_strips(band_height, width)
             strips = [slice(rows.start + s.start, rows.start + s.stop) for s in strips]
-            self._bands.append(_Band(rows, cols, strips, work,
-                                     FrameFilter(iz, (band_height, width), hold=first_frame[rows])))
+            iz = FrameFilter(self._iz, (band_height, width), hold=self._ring[0][rows])
+            self._bands.append(_Band(rows, cols, strips, work, iz))
         # sized by the last band, which has the most rows: a band's products,
         # the summed, then smoothed, then raw products of one strip, and scratch
         # for the temporal step and (its first three planes) the solve and disparity
         self._product = np.empty((band_height, width))
         self._strip, self._scratch = np.empty((2, 5, strip_rows, width))
         self._temporal = np.zeros((self._temporal_smoother.order, 5, height, width))
+        for band in self._bands:
+            for frame in self._ring[: self.cfg.frame_delay]:  # no result reads their I_z
+                band.iz.step(frame[band.rows], out=self._product[: len(frame[band.rows])])
+        if len(self._bands) > 1:
+            self._fork()
 
     def step(self, frame: np.ndarray) -> FlowResult | None:
         """Feed the next input frame, a float array of frame 0's shape
@@ -343,15 +352,9 @@ class _FlowEngine:
         now = n % (q + 1)
         np.copyto(ring[now], frame)
         if n < q:
-            # into private scratch: band 1's rows of the shared I_z plane are
-            # the helper's to write, and pages this process wrote there
-            # would stay in its memory too
-            for band in self._bands:
-                rows = band.rows.stop - band.rows.start
-                band.iz.step(frame[band.rows], out=self._product[:rows])
             return None
-        if n == q and len(self._bands) > 1:
-            self._fork()
+        if n == q:
+            self._start()
         self._now[...] = now
         field = FlowField(
             vx=np.empty(self.shape), vy=np.empty(self.shape), valid=np.empty(self.shape, bool)
@@ -374,15 +377,14 @@ class _FlowEngine:
             self._reap()
 
     def _fork(self) -> None:
-        """Fork the helper, which serves band 1 until it is stopped.  If a
-        thread has started since frame 0, or the system refuses the
-        fork, this process runs both bands."""
-        if not _can_fork():
-            return
-        commands, done = os.pipe(), os.pipe()
+        """Fork the helper, which serves band 1 until it is stopped.  If the
+        system refuses a pipe or the fork, this process runs both bands."""
+        commands = done = ()
         try:
+            commands = os.pipe()
+            done = os.pipe()
             pid = os.fork()
-        except OSError:  # out of processes or memory
+        except OSError:  # out of fds, processes or memory
             for fd in (*commands, *done):
                 os.close(fd)
             return
@@ -575,11 +577,12 @@ def process_sequence(
     result owns its arrays.
 
     Frames of at least flow._BAND_VALUES values run as two bands on
-    two CPUs, when the process may fork (see _FlowEngine): the split is
-    made on frame 0, and a helper process forked when the first result
-    is due runs one band.  The generator stops and reaps the helper
-    when it ends, is closed or raises; if the helper dies, the next
-    frame raises RuntimeError.
+    two CPUs, when the process may fork (see _FlowEngine): when the
+    first result is due, the split is made and a helper process forked
+    to run one band; before that, a frame only fills the delay line.
+    The generator stops and reaps the helper when it ends, is closed or
+    raises; a process forked from the caller never stops it.  If the
+    helper dies, the next frame raises RuntimeError.
 
     Non-finite input is not repaired: one NaN or inf sample spreads
     along its row and column through the spatial filters and stays in

@@ -4,6 +4,7 @@ helper must never outlive its stream, hang its caller or run where a
 fork is unsafe."""
 
 import contextlib
+import errno
 import hashlib
 import math
 import os
@@ -52,6 +53,21 @@ def bands(two: bool):
     with spied_forks() as forks, pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow, "_BAND_VALUES", 1 if two else 2**62)
         yield forks
+
+
+@contextlib.contextmanager
+def spied_splits():
+    """Yields the list of the band splits that flow._bands returns."""
+    splits = []
+    real_bands = flow._bands
+
+    def spy(*args):
+        splits.append(real_bands(*args))
+        return splits[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_bands", spy)
+        yield splits
 
 
 def assert_no_child():
@@ -166,18 +182,32 @@ FRAMES = scene(12, 16, 20, 3)
 
 
 def test_frames_before_the_first_result_write_no_shared_plane():
-    # band 1's rows of a shared plane that the caller wrote would stay in
-    # its memory as well as in the helper's
-    with bands(True) as forks:
+    # until the first result is due a frame only fills the delay line: no
+    # band, no plane but the ring, no I_z state, no fork and no fork check
+    checks, real_can_fork = [], flow._can_fork
+
+    def can_fork():
+        checks.append(real_can_fork())
+        return checks[-1]
+
+    with bands(True) as forks, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_can_fork", can_fork)
         engine = flow._FlowEngine(FlowConfig(), FRAMES[0])
         try:
-            for frame in FRAMES[: engine.cfg.frame_delay]:
+            q = engine.cfg.frame_delay
+            for frame in FRAMES[:q]:
                 assert engine.step(frame) is None
-            assert len(engine._bands) == 2
-            assert not engine._g.any()
+                assert not hasattr(engine, "_bands") and not hasattr(engine, "_g")
+                assert not any(isinstance(v, (np.ndarray, flow._Band, flow.FrameFilter))
+                               for v in vars(engine).values())
+            assert (checks, forks) == ([], [])
+            for frame in FRAMES[q:]:
+                assert engine.step(frame) is not None
+            assert checks == [True]
+            assert len(engine._bands) == 2 and len(forks) == 1
         finally:
             engine.close()
-    assert forks == []
+    assert_no_child()
 
 
 @pytest.mark.parametrize("how", ["break", "close"])
@@ -265,14 +295,25 @@ def test_a_refused_fork_runs_both_bands_here_and_leaks_no_pipe():
     def refuse():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
+    pipes, real_pipe = [], os.pipe
+
+    def refuse_the_second_pipe():
+        pipes.append(len(pipes))
+        if len(pipes) == 2:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real_pipe()
+
     fds = len(os.listdir("/proc/self/fd"))
     with bands(False):
         want = list(process_sequence(FRAMES))
-    with bands(True), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "fork", refuse)
-        got = list(process_sequence(FRAMES))
-    same_bits(got, want)
-    assert len(os.listdir("/proc/self/fd")) == fds
+    for name, refused in (("fork", refuse), ("pipe", refuse_the_second_pipe)):
+        with bands(True) as forks, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, name, refused)
+            got = list(process_sequence(FRAMES))
+        assert forks == []
+        same_bits(got, want)
+        assert len(os.listdir("/proc/self/fd")) == fds
+    assert pipes == [0, 1]
     assert_no_child()
 
 
@@ -298,6 +339,38 @@ def test_the_helper_never_flushes_what_its_caller_printed():
     assert done.stdout == "printed once\n4\n"
 
 
+def test_a_forked_child_leaves_its_parents_helper_running():
+    # the child leaves through sys.exit, so its atexit hooks run the
+    # stream's finalizer; only the process that forked the helper may
+    # stop it
+    script = (
+        "import os, sys\n"
+        "from fadefilt import flow\n"
+        "from fadefilt.flow import process_sequence\n"
+        "from fadefilt.synthetic import translating_plaid\n"
+        "frames = translating_plaid(12, 16, 16, (0.3, 0.1))\n"
+        "flow._BAND_VALUES = 2**62\n"
+        "want = list(process_sequence(frames))\n"
+        "flow._BAND_VALUES = 1\n"
+        "stream = process_sequence(frames)\n"
+        "got = [next(stream), next(stream)]\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    sys.exit(0)\n"
+        "assert os.waitpid(pid, 0)[1] == 0\n"
+        "got += stream\n"
+        "def bits(results):\n"
+        "    return [b''.join(a.tobytes() for a in (r.flow.vx, r.flow.vy, r.flow.valid,\n"
+        "                                           r.disparity)) for r in results]\n"
+        "print(len(got), bits(got) == bits(want))\n"
+    )
+    src = str(Path(flow.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "8 True\n"
+
+
 def test_nothing_forks_while_a_second_thread_runs():
     stop = threading.Event()
     waiter = threading.Thread(target=stop.wait)
@@ -315,16 +388,10 @@ def test_nothing_forks_while_a_second_thread_runs():
 
 
 def test_a_thread_started_after_frame_0_keeps_both_bands_here():
-    # the split is made on frame 0, before the thread starts; the fork,
-    # due at the first result, must see the thread and not happen
+    # the split waits for the first result, so a thread alive then keeps
+    # the whole frame in this process as one band
     stop = threading.Event()
     waiter = threading.Thread(target=stop.wait)
-    splits = []
-    real_bands = flow._bands
-
-    def spy(*args):
-        splits.append(real_bands(*args))
-        return splits[-1]
 
     def producer():
         yield FRAMES[0]
@@ -332,17 +399,43 @@ def test_a_thread_started_after_frame_0_keeps_both_bands_here():
         yield from FRAMES[1:]
 
     try:
-        with bands(True) as forks, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(flow, "_bands", spy)
+        with bands(True) as forks, spied_splits() as splits:
+            got = list(process_sequence(producer()))
+    finally:
+        stop.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert [len(split) for split in splits] == [1]
+    assert forks == []
+    with bands(False):
+        same_bits(got, list(process_sequence(FRAMES)))
+
+
+def test_a_thread_joined_before_the_first_result_leaves_two_bands():
+    # a thread alive at frame 0 but gone when the first result is due
+    # does not keep the stream from forking
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+
+    def producer():
+        yield FRAMES[0]
+        stop.set()
+        waiter.join(timeout=10)
+        yield from FRAMES[1:]
+
+    try:
+        with bands(True) as forks, spied_splits() as splits:
             got = list(process_sequence(producer()))
     finally:
         stop.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
     assert [len(split) for split in splits] == [2]
-    assert forks == []
+    assert len(forks) == 1
     with bands(False):
         same_bits(got, list(process_sequence(FRAMES)))
+    assert_no_child()
 
 
 def test_nothing_forks_when_q_exceeds_the_stream():
