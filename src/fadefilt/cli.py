@@ -20,11 +20,13 @@ import contextlib
 import dataclasses
 import json
 import math
+import platform
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import acceptance
 from .closed_form import closed_form_coefficients, closed_form_for, optimal_q
@@ -301,8 +303,9 @@ def _cmd_flow(args) -> int:
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
     # each result goes to the writers and its preview and is then
-    # dropped, so memory does not grow with the stream's length
-    previews = []
+    # dropped, so memory does not grow with the stream's length; the
+    # previews are counted, dj_0000.pgm to dj_{previews - 1}.pgm
+    previews = 0
     try:
         with contextlib.ExitStack() as outputs:
             vx, vy, dj = (
@@ -317,13 +320,13 @@ def _cmd_flow(args) -> int:
                 hi = float(np.max(r.disparity))
                 norm = ((r.disparity - lo) / (hi - lo) if hi > lo
                         else np.zeros_like(r.disparity))
-                previews.append(out_dir / f"dj_{r.frame_index:04d}.pgm")
-                write_pgm(previews[-1], norm)
+                previews += 1
+                write_pgm(out_dir / f"dj_{r.frame_index:04d}.pgm", norm)
     except BaseException:
         # like the stacks, a failed run's previews do not outlive it,
         # nor do the directories it made, while they are empty
-        for path in previews:
-            path.unlink(missing_ok=True)
+        for i in range(previews):
+            (out_dir / f"dj_{i:04d}.pgm").unlink(missing_ok=True)
         for d in made:
             if not any(d.iterdir()):
                 d.rmdir()
@@ -340,6 +343,9 @@ def _cmd_flow(args) -> int:
         "warmup_frames": int(cfg.warmup_frames),
         "height": int(height),
         "width": int(width),
+        # the output bits depend on these
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__},
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n"

@@ -26,9 +26,9 @@ on the first frame, that owns the stream: the filters and their state,
 a delay line of the last q frames seen, into which it copies each frame
 (so a producer may refill one buffer for every frame), and one workspace
 reused for every frame, which must have the first frame's shape.  The
-per-pixel stages run in cache-sized row strips, and a large frame runs
-as two bands, one in a forked helper process, all with the bits of
-whole-frame calls; see _FlowEngine.
+per-pixel stages run in cache-sized row strips, and a large enough
+frame runs on two CPUs, pipelined or as two bands with a forked helper
+process, all with the bits of whole-frame calls; see _FlowEngine.
 
 The temporal differentiator is primed by holding the first frame and
 the product smoother starts from zero state, which shortens but does
@@ -159,10 +159,11 @@ def _can_fork() -> bool:
             and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
 
 
-# Values in a frame from which the flow engine runs it as two bands,
-# band 1 in a forked helper process (_FlowEngine).  process_sequence
-# over 40 frames cycled to 400, two bands against one in interleaved
-# pairs on 2 vCPUs, fork included, in two rounds of 8 and 12 pairs:
+# Values in a frame from which the flow engine runs it on two CPUs, a
+# forked helper process taking part of every frame (_FlowEngine).
+# process_sequence over 40 frames cycled to 400, two bands against one
+# in interleaved pairs on 2 vCPUs, fork included, in two rounds of 8 and
+# 12 pairs:
 #
 #   frame    pairs two bands won   median time, two bands : one
 #   64x64    15 of 20              1.05, 0.89
@@ -175,21 +176,58 @@ def _can_fork() -> bool:
 # Two bands win from 64x64 more often than not, but 9 times in 10 only
 # from 96x96, and the helper costs a second process (about 5 MB more
 # summed PSS at 128x128) and 5-8 ms more for the first result, which
-# pays the fork.  So two bands start at 8192 values, about 90x90.  From
-# 256x256 up they take about 0.6 of the time.
+# pays the fork.  So the helper starts at 8192 values, about 90x90.
+# The pipeline, which now runs these sizes (_SPLIT_VALUES), measured
+# the same way against one process in 6 pairs:
+#
+#   frame    pairs the pipeline won   median time, pipeline : one
+#   64x64    6 of 6                   0.74
+#   80x80    6 of 6                   0.70
+#   96x96    6 of 6                   0.64
+#   128x128  6 of 6                   0.62
+#
+# So the threshold could fall; below 64x64 is not measured.
 _BAND_VALUES = 8192
 
+# Values in a frame from which the engine splits every stage into two
+# bands instead of pipelining whole frames (_FlowEngine).  The pipeline
+# gives the helper the gradients and row passes, about 60% of a frame,
+# and leaves the caller the rest and whatever its consumer does between
+# results.  In-process ms a frame, two bands -> pipeline, over 150-400
+# frames in 4 interleaved pairs on 2 vCPUs, with a consumer that writes
+# each result as the CLI does and with one that does nothing, and the
+# pipeline's extra peak RSS in this process + in the helper:
+#
+#   frame    CLI-like consumer      no consumer            extra RSS, MB
+#   96x96    2.6-2.9 -> 1.8-2.0                            1.6 + 0.6
+#   128x128  3.7-4.2 -> 2.4-2.8     3.2-3.5 -> 2.3-3.2     2.8 + 1.1
+#   256x256  10.9-12.8 -> 9.2-10.6  9.1-11.8 -> 8.5-9.3    3.9 + 3.0
+#   320x240  11.7-15.2 -> 9.9-10.9  11.0-13.9 -> 10.0-11.9 4.2 + 4.1
+#   480x360  28.8-29.2 -> 24.8-28.3 23.7-42.4 -> 23.6-26.1 6.2 + 3.4
+#   640x480  46.3-52.2 -> 44.3-48.5 41.2-49.2 -> 42.9-52.0 8.7 + 6.1
+#
+# The pipeline won every pair up to 320x240.  From 480x360 the helper's
+# share outweighs the caller's by more than a light consumer's work: with
+# no consumer the pipeline won 3 pairs of 4 there and none at 640x480.
+# So frames from 2**17 values (about 362x362) up keep two bands.
+_SPLIT_VALUES = 2**17
 
-def _bands(height: int, width: int, split: bool) -> list[tuple[slice, slice]]:
-    """The (rows, columns) bands of a ``height`` x ``width`` frame: two,
-    the top rows with the left columns and the bottom rows with the
-    right columns, when ``split`` and the frame holds at least
-    ``_BAND_VALUES`` values in two or more rows and columns; else one
-    band, the whole frame."""
-    if not split or height * width < _BAND_VALUES or min(height, width) < 2:
-        return [(slice(0, height), slice(0, width))]
+
+def _schedule(height: int, width: int, fork: bool) -> tuple[int, list[tuple[slice, slice]]]:
+    """The frame slots and the (rows, columns) bands of the flow engine's
+    schedule for ``height`` x ``width`` frames, when the process may
+    ``fork``: below ``_BAND_VALUES`` values, or without ``fork``, one slot
+    of one band, the whole frame; below ``_SPLIT_VALUES`` values, or with
+    a single row or column, the pipeline's two slots of the whole frame;
+    else one slot of two bands, the top rows with the left columns and
+    the bottom rows with the right columns."""
+    whole = [(slice(0, height), slice(0, width))]
+    if not fork or height * width < _BAND_VALUES:
+        return 1, whole
+    if height * width < _SPLIT_VALUES or min(height, width) < 2:
+        return 2, whole
     r, c = height // 2, width // 2
-    return [(slice(0, r), slice(0, c)), (slice(r, height), slice(c, width))]
+    return 1, [(slice(0, r), slice(0, c)), (slice(r, height), slice(c, width))]
 
 
 def _shared(shape, dtype=float) -> np.ndarray:
@@ -201,9 +239,9 @@ def _shared(shape, dtype=float) -> np.ndarray:
 
 
 def _stacked_column_pass(half: LdeCoefficients, work: np.ndarray) -> None:
-    """Run both halves of the two-sided pair whose halves are both
-    ``half`` down axis 0 of the k planes work[:, :k] of an (H, 2k, W)
-    ``work``, in place and left unsummed.  work[:, k:] takes the rows
+    """Run both halves of the two-sided pair whose halves are both the
+    order-1 ``half`` down axis 0 of the k planes work[:, :k] of an (H, 2k,
+    W) ``work``, in place and left unsummed.  work[:, k:] takes the rows
     reversed, so step i advances the forward half on row i and the
     backward half on row H-1-i of every plane at once.  Afterwards row
     i of plane j's pass, the bytes of filter_image_separable(...,
@@ -212,10 +250,18 @@ def _stacked_column_pass(half: LdeCoefficients, work: np.ndarray) -> None:
     # a ufunc copy: np.copyto cannot tell that the reversed slots are
     # disjoint and would buffer all k planes first
     np.positive(work[::-1, :k], out=work[:, k:])
-    z = half._held(work[0])
-    t = np.empty(work.shape[1:])
-    for row in work:
-        half._step(z, row, row, t)
+    (b0, b1), (_, a1) = half._taps
+    z = half._held(work[0])[0]
+    # the products with x of a block of rows in two calls, so that a row
+    # takes three: y = b0*x + z and z = b1*x - a1*y, with _step's roundings
+    b1x = np.empty((16,) + work.shape[1:])
+    for block in range(0, len(work), len(b1x)):
+        rows = work[block: block + len(b1x)]
+        np.multiply(rows, b1, out=b1x[: len(rows)])
+        rows *= b0
+        for y, t in zip(rows, b1x):
+            y += z
+            np.subtract(t, np.multiply(y, a1, out=z), out=z)
 
 
 def _stop_helper(pid: int, commands: int, done: int, owner: int) -> None:
@@ -253,21 +299,21 @@ class _FlowEngine:
     to, q = frame_delay frames back, so the first result is due at
     frame q, and until then a frame only fills the delay line, a ring of
     shared planes from frame 0 on.  Frame n is copied once, into slot n
-    mod (q + 1), and the spatial path reads the next slot, frame n - q.
-    A frame that finds the ring full while it holds fewer than q + 1
-    planes grows it in one new mapping by as many planes as it holds
-    (at least one, never past q + 1), so a full ring takes
+    mod the ring's length, and the spatial path reads frame n - q from
+    it.  A frame that finds the ring full while it holds fewer than
+    q + 1 planes grows it in one new mapping by as many planes as it
+    holds (at least one, never past q + 1), so a full ring takes
     ceil(log2(q + 1)) + 1 mappings and, as unwritten pages cost no
     memory, the delay line holds no more frames than were seen.  A
     producer may refill one buffer for every frame.
 
-    At frame q the engine starts (_start): it splits the frame into
-    bands (below), allocates every other plane for reuse on each later
-    frame, and steps each band's order-4 temporal differentiator, a
-    FrameFilter hold-primed on the band's rows of frame 0, over frames
-    0 to q - 1.  Each stage writes into its buffer with out= ufuncs, in
-    the floating-point order of the standalone stage functions, so
-    results match them bit for bit.
+    At frame q the engine starts (_start): it picks its schedule
+    (below), allocates every other plane for reuse on each later frame,
+    and steps each band's order-4 temporal differentiator, a FrameFilter
+    hold-primed on the band's rows of frame 0, over frames 0 to q - 1.
+    Each stage writes into its buffer with out= ufuncs, in the
+    floating-point order of the standalone stage functions, so results
+    match them bit for bit.
 
     A frame runs in four stages, each over a band: the gradients (the
     band's rows of I_z and I_x, its columns of I_y), the products and
@@ -283,17 +329,32 @@ class _FlowEngine:
     strip's planes stay in cache between these stages, where
     whole-frame planes would stream through memory once per ufunc.
 
-    The frame is split into two bands when it is large enough (_bands)
-    and the process can fork (_can_fork); else one band, the whole
-    frame, runs in this process.  With two bands, a helper process
-    forked by _start runs band 1 while this process runs band 0, with a
-    1-byte pipe round trip between stages.  The planes both bands touch
-    (the delay line and its position, the gradients, the workspaces and
-    band 1's outputs) live in anonymous shared mmaps; the differentiator
-    and temporal smoother states of a band's rows stay private to the
-    process that steps them.  Every value gets the operations of one
-    whole-frame call, so two bands give the bits of one.  If the system
-    refuses a pipe or the fork, this process runs both bands.
+    The schedule (_schedule) follows from the frame size and whether
+    the process may fork (_can_fork), and is one of three:
+
+    - one band, the whole frame, in this process: frames below
+      _BAND_VALUES values, or no fork;
+    - the pipeline, below _SPLIT_VALUES values: a helper process forked
+      by _start runs the gradients and row passes of frame n while this
+      process runs the column pass and tail of frame n - 1, so each
+      result comes one input frame late, and flush() gives the last.
+      Each frame costs one command byte and one done byte.  Two frame
+      slots each hold their own gradients and (H, 10, W) workspace, and
+      the ring holds one more frame, q + 2, so that frame n + 1 can land
+      while the helper still reads frames n and n - q;
+    - two bands, the top rows with the left columns and the bottom rows
+      with the right columns: a helper forked by _start runs band 1 of
+      every stage while this process runs band 0, with a 1-byte pipe
+      round trip per stage, and this process copies band 1's outputs.
+
+    The planes both processes touch (the delay line and its position,
+    the gradients, the workspaces and band 1's outputs) live in anonymous
+    shared mmaps; the differentiator state stays private to the process
+    that steps it (the helper's in the pipeline) and the temporal
+    smoother's to the one that runs the tail.  Every value gets the
+    operations of one whole-frame call, so every schedule gives the bits
+    of one band.  If the system refuses a pipe or the fork, this process
+    runs every stage, with no lag.
 
     The temporal product smoother starts from zero state.  A shared
     start-up attenuation on all five products cancels in the flow solve
@@ -312,73 +373,106 @@ class _FlowEngine:
         self._frames = 0
         self._ring: list[np.ndarray] = []
         self._pipes: tuple[int, int] | None = None
+        self._pending: int | None = None  # the frame the helper has, in the pipeline
 
     def _start(self) -> None:
-        """Build the bands, their planes and the helper once the ring holds frames 0 to q."""
+        """Pick the schedule, build its planes and helper once the ring holds frames 0 to q."""
         height, width = self.shape
-        split = _bands(height, width, _can_fork())
+        slots, split = _schedule(height, width, _can_fork())
+        if slots == 2:  # frame n + 1 lands while the helper still reads frames n and n - q
+            self._ring.extend(_shared((1, height, width)))
         self._now = _shared((), np.int64)
-        self._g = _shared((3, height, width))
-        works = [_shared((height, 10, c.stop - c.start)) for _, c in split]
         vx, vy, dj = _shared((3, height, width))
         self._shared_out = vx, vy, _shared((height, width), bool), dj
-        self._bands = []
-        for (rows, cols), work in zip(split, works):
-            band_height = rows.stop - rows.start
-            strip_rows, strips = _row_strips(band_height, width)
-            strips = [slice(rows.start + s.start, rows.start + s.stop) for s in strips]
-            iz = FrameFilter(self._iz, (band_height, width), hold=self._ring[0][rows])
-            self._bands.append(_Band(rows, cols, strips, work, iz))
         # sized by the last band, which has the most rows: a band's products,
         # the summed, then smoothed, then raw products of one strip, and scratch
         # for the temporal step and (its first three planes) the solve and disparity
-        self._product = np.empty((band_height, width))
+        last = split[-1][0]
+        self._product = np.empty((last.stop - last.start, width))
+        strip_rows, _ = _row_strips(last.stop - last.start, width)
         self._strip, self._scratch = np.empty((2, 5, strip_rows, width))
         self._temporal = np.zeros((self._temporal_smoother.order, 5, height, width))
-        for band in self._bands:
+        bands = []
+        for rows, cols in split:
+            band_height = rows.stop - rows.start
+            iz = FrameFilter(self._iz, (band_height, width), hold=self._ring[0][rows])
             for frame in self._ring[: self.cfg.frame_delay]:  # no result reads their I_z
-                band.iz.step(frame[band.rows], out=self._product[: len(frame[band.rows])])
-        if len(self._bands) > 1:
+                iz.step(frame[rows], out=self._product[:band_height])
+            strips = [slice(rows.start + s.start, rows.start + s.stop)
+                      for s in _row_strips(band_height, width)[1]]
+            bands.append((rows, cols, strips, iz))
+        # each slot has its own gradients and workspaces; its bands share their I_z
+        self._slots = [(_shared((3, height, width)),
+                        [_Band(r, c, s, _shared((height, 10, c.stop - c.start)), iz)
+                         for r, c, s, iz in bands])
+                       for _ in range(slots)]
+        if slots * len(split) > 1:
             self._fork()
 
     def step(self, frame: np.ndarray) -> FlowResult | None:
         """Feed the next input frame, a float array of frame 0's shape
-        that the engine only reads; the result for frame n - q, or None
-        while the delay line fills."""
+        that the engine only reads; the result for frame n - q, or, in
+        the pipeline, for frame n - q - 1; or None while none is due."""
         n, q, ring = self._frames, self.cfg.frame_delay, self._ring
         self._frames += 1
         if len(ring) == n <= q:  # full, and short of q + 1 planes
             ring.extend(_shared((min(max(n, 1), q + 1 - n), *self.shape)))
-        now = n % (q + 1)
-        np.copyto(ring[now], frame)
+        np.copyto(ring[n % len(ring)], frame)
         if n < q:
             return None
         if n == q:
             self._start()
-        self._now[...] = now
-        field = FlowField(
-            vx=np.empty(self.shape), vy=np.empty(self.shape), valid=np.empty(self.shape, bool)
-        )
-        dj = np.empty(self.shape)
-        self._out = field, dj
-        for stage in range(len(self._STAGES)):
-            self._run(stage)
-        if self._pipes:
-            rows = self._bands[1].rows
-            for mine, theirs in zip((field.vx, field.vy, field.valid, dj), self._shared_out):
-                mine[rows] = theirs[rows]
-        index = n - q
-        return FlowResult(frame_index=index, warmed_up=index >= self.cfg.warmup_frames - q,
-                          flow=field, disparity=dj)
+        if not (self._pipes and len(self._slots) == 2):
+            self._now[...] = n
+            return self._result(n, range(len(self._STAGES)))
+        # the pipeline: the helper takes stages 0-1 of frame n while this
+        # process runs stages 2-3 of frame n - 1, the pending frame
+        if self._pending is not None:
+            self._wait()
+        self._now[...] = n
+        self._command(0b0011)
+        pending, self._pending = self._pending, n
+        return None if pending is None else self._result(pending, (2, 3))
+
+    def flush(self) -> FlowResult | None:
+        """The result the pipeline still owes once the stream has ended, or None."""
+        n, self._pending = self._pending, None
+        if n is None:
+            return None
+        self._wait()
+        return self._result(n, (2, 3))
 
     def close(self) -> None:
         """Stop and reap the helper process, if one was forked."""
         if self._pipes:
             self._reap()
 
+    def _select(self, n: int) -> None:
+        """Point the stages at frame n's slot: its gradients and bands."""
+        self._g, self._bands = self._slots[n % len(self._slots)]
+
+    def _result(self, n: int, stages) -> FlowResult:
+        """Run ``stages`` of frame n into fresh arrays, and its result."""
+        self._select(n)
+        field = FlowField(
+            vx=np.empty(self.shape), vy=np.empty(self.shape), valid=np.empty(self.shape, bool)
+        )
+        dj = np.empty(self.shape)
+        self._out = field, dj
+        for stage in stages:
+            self._run(stage)
+        if self._pipes and len(self._bands) > 1:
+            rows = self._bands[1].rows
+            for mine, theirs in zip((field.vx, field.vy, field.valid, dj), self._shared_out):
+                mine[rows] = theirs[rows]
+        return FlowResult(frame_index=n - self.cfg.frame_delay,
+                          warmed_up=n >= self.cfg.warmup_frames,
+                          flow=field, disparity=dj)
+
     def _fork(self) -> None:
-        """Fork the helper, which serves band 1 until it is stopped.  If the
-        system refuses a pipe or the fork, this process runs both bands."""
+        """Fork the helper, which serves the stages it is sent until it is
+        stopped.  If the system refuses a pipe or the fork, this process
+        runs every stage."""
         commands = done = ()
         try:
             commands = os.pipe()
@@ -395,7 +489,7 @@ class _FlowEngine:
                 os.close(done[0])
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 # a pipe write wakes its reader on the writer's CPU, as if
-                # the writer were about to sleep; the caller runs band 0
+                # the writer were about to sleep; the caller runs on
                 # instead, and an unpinned helper often waited for it to
                 # finish (each stage of a 128x384 frame then took twice
                 # its time)
@@ -419,35 +513,45 @@ class _FlowEngine:
         self._reap = weakref.finalize(self, _stop_helper, pid, commands[1], done[0], os.getpid())
 
     def _serve(self, commands: int, done: int) -> None:
-        """The helper's loop: run each stage the command pipe names on
-        band 1 and answer with one byte, until EOF or a stop byte."""
-        band = self._bands[1]
-        while (stage := os.read(commands, 1)) and stage[0] < len(self._STAGES):
-            self._STAGES[stage[0]](self, band)
+        """The helper's loop: run the stages whose bits are set in each
+        command byte on the last band of the slot of the frame at _now,
+        and answer with one byte, until EOF or a stop byte."""
+        while (command := os.read(commands, 1)) and command[0] < 1 << len(self._STAGES):
+            self._select(int(self._now))
+            for stage, run in enumerate(self._STAGES):
+                if command[0] >> stage & 1:
+                    run(self, self._bands[-1])
             os.write(done, b"\0")
 
+    def _command(self, stages: int) -> None:
+        """Send the helper the bit mask of ``stages`` to run."""
+        try:
+            os.write(self._pipes[0], bytes((stages,)))
+        except BrokenPipeError:
+            raise RuntimeError(f"flow helper process {self._pid} has exited") from None
+
+    def _wait(self) -> None:
+        """Return when the helper has run the stages it was last sent."""
+        if os.read(self._pipes[1], 1) != b"\0":
+            raise RuntimeError(f"flow helper process {self._pid} has exited")
+
     def _run(self, stage: int) -> None:
-        """Run ``stage`` on band 0, and on band 1 in the helper, and
-        return when both are done; without a helper, run every band."""
+        """Run ``stage`` on every band of the slot: with two bands and a
+        helper, band 1 in the helper while band 0 runs here."""
         run = self._STAGES[stage]
-        if not self._pipes:
+        if not self._pipes or len(self._bands) == 1:
             for band in self._bands:
                 run(self, band)
             return
-        commands, done = self._pipes
-        try:
-            os.write(commands, bytes((stage,)))
-        except BrokenPipeError:
-            raise RuntimeError(f"flow helper process {self._pid} has exited") from None
+        self._command(1 << stage)
         run(self, self._bands[0])
-        if os.read(done, 1) != b"\0":
-            raise RuntimeError(f"flow helper process {self._pid} has exited")
+        self._wait()
 
     def _gradients(self, band: _Band) -> None:
         """I_z and I_x on the band's rows, I_y on its columns."""
-        ring, (ix, iy, iz), now = self._ring, self._g, int(self._now)
-        delayed = ring[(now + 1) % len(ring)]
-        band.iz.step(ring[now][band.rows], out=iz[band.rows])
+        ring, (ix, iy, iz), n = self._ring, self._g, int(self._now)
+        delayed = ring[(n - self.cfg.frame_delay) % len(ring)]
+        band.iz.step(ring[n % len(ring)][band.rows], out=iz[band.rows])
         filter_image_separable(self._differentiator, delayed[band.rows], Axis.ROWS,
                                out=ix[band.rows])
         filter_image_separable(self._differentiator, delayed[:, band.cols], Axis.COLS,
@@ -576,13 +680,22 @@ def process_sequence(
     Frames are only read, so the stream may reuse one buffer.  Each
     result owns its arrays.
 
-    Frames of at least flow._BAND_VALUES values run as two bands on
-    two CPUs, when the process may fork (see _FlowEngine): when the
-    first result is due, the split is made and a helper process forked
-    to run one band; before that, a frame only fills the delay line.
-    The generator stops and reaps the helper when it ends, is closed or
-    raises; a process forked from the caller never stops it.  If the
-    helper dies, the next frame raises RuntimeError.
+    Frames of at least flow._BAND_VALUES values run on two CPUs when
+    the process may fork (see _FlowEngine): when the first result is
+    due, a helper process is forked; before that, a frame only fills the
+    delay line.  Below flow._SPLIT_VALUES values the helper computes the
+    gradients and row passes of each frame while this process finishes
+    the frame before, so each result comes one input frame later than
+    it would in one process: the result for frame n - q is yielded after
+    frame n + 1 is read, and the last one when the stream ends.  If the
+    stream raises, the result it still owes is yielded first.  The
+    pipeline holds a second frame slot of gradients and workspace and
+    one more delay-line frame, 112 bytes a pixel of shared planes.
+    Larger frames split every stage into two bands instead, whose
+    planes are those of one process.  The generator stops and reaps the
+    helper when it ends, is closed or raises; a process forked from the
+    caller never stops it.  If the helper dies, the next frame raises
+    RuntimeError, and a helper that fails writes its traceback to fd 2.
 
     Non-finite input is not repaired: one NaN or inf sample spreads
     along its row and column through the spatial filters and stays in
@@ -592,12 +705,24 @@ def process_sequence(
     if cfg is None:
         cfg = FlowConfig()
     engine: _FlowEngine | None = None
+    frames, failure = _frames(stream, ndim=2), None
     try:
-        for frame in _frames(stream, ndim=2):
+        while True:
+            try:
+                frame = next(frames)
+            except StopIteration:
+                break
+            except Exception as error:  # the stream's: the results due before it come first
+                failure = error
+                break
             engine = engine or _FlowEngine(cfg, frame)
             result = engine.step(frame)
             if result is not None:
                 yield result
+        if engine is not None and (result := engine.flush()) is not None:
+            yield result
+        if failure is not None:
+            raise failure
     finally:
         if engine is not None:
             engine.close()

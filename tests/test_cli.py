@@ -10,12 +10,14 @@ import dataclasses
 import gc
 import json
 import math
+import platform
 import re
 import warnings
 import weakref
 
 import numpy as np
 import pytest
+import scipy
 
 import fadefilt.cli
 from fadefilt.cli import main
@@ -392,6 +394,8 @@ def test_flow_run_and_manifest(tmp_path):
     assert manifest["warmup_frames"] == 14
     assert manifest["height"] == 48 and manifest["width"] == 48
     assert manifest["config"] == dataclasses.asdict(FlowConfig())
+    assert manifest["versions"] == {"python": platform.python_version(),
+                                    "numpy": np.__version__, "scipy": scipy.__version__}
 
     vx = read_float_stack(out / "vx.f32")
     vy = read_float_stack(out / "vy.f32")
