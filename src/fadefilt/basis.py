@@ -39,13 +39,9 @@ class BasisSet:
         """psi_k(m), elementwise in m."""
         return npoly.polyval(_real(m, "m"), self.alpha[k])
 
-    def derivative_coeffs(self, k: int, order: int) -> np.ndarray:
-        """Monomial coefficients of the order-th derivative of psi_k."""
-        return npoly.polyder(self.alpha[k], order) if order else self.alpha[k].copy()
-
     def evaluate_derivative(self, k: int, order: int, m) -> np.ndarray:
-        c = self.derivative_coeffs(k, order)
-        return npoly.polyval(_real(m, "m"), c)
+        """The order-th derivative of psi_k at m, elementwise in m."""
+        return npoly.polyval(_real(m, "m"), npoly.polyder(self.alpha[k], order))
 
 
 def _moment_inner(a: np.ndarray, b: np.ndarray, mu: list) -> float:

@@ -209,29 +209,37 @@ class LdeCoefficients:
         return tuple([c[i, ...] for i in range(len(c))] for c in (self.b, self.a))
 
     def _step(self, z: np.ndarray, x: np.ndarray, out, t: np.ndarray) -> np.ndarray:
-        """One step of the delay lines z over every element of x, in
-        lfilter's order: y = b0*x + z[0], z[i] = (z[i+1] + b[i+1]*x) -
-        a[i+1]*y.  ``t`` is scratch shaped like x; ``out`` may be x.  Every
-        product with x is taken before y is written (z[i] gains b[i]*x for
-        z[i-1], ``t`` takes b[n]*x), so order 1 costs five ufunc calls.
-        The taps are bound once (``_taps``) and each delay line's view is
-        taken once a call, so a step over a short row costs little more
-        than its ufunc calls."""
+        """Step the delay lines z, (order,) + a row, over the rows x[0],
+        x[1], ... of a block in lfilter's order: for each row, y = b0*x +
+        z[0], z[i] = (z[i+1] + b[i+1]*x) - a[i+1]*y.  ``t`` is scratch
+        shaped like x; ``out`` may be x.  Every product with x comes before
+        y is written: z[i] gains b[i]*x for z[i-1], which needs a one-row
+        block (a longer one raises ValueError at order 2 and up), then
+        ``t`` takes b[n]*x and y b0*x for the whole block.  A one-row step
+        costs 4n + 1 ufunc calls; at order 1 a block costs two and each row
+        three.  The taps are bound once (``_taps``), the views and shift
+        operands once a call: once a row cost the 128x128 column pass 5%."""
         b, a = self._taps
         n = len(a) - 1
         if n == 0:
             return np.multiply(x, b[0], out=out)
-        # z[i, ...] stays an array view even for 0-d frames, where z[i]
-        # would be a numpy scalar that cannot take out=
+        # z[i, ...] and y[r, ...] stay array views even for 0-d rows,
+        # where z[i] would be a numpy scalar that cannot take out=
         z = [z[i, ...] for i in range(n)]
+        if n > 1 and len(x) != 1:
+            raise ValueError(f"an order-{n} step takes a one-row block, got {len(x)} rows")
         for i in range(1, n):
-            z[i] += np.multiply(x, b[i], out=t)
+            z[i] += np.multiply(x, b[i], out=t)[0]
         np.multiply(x, b[n], out=t)
         y = np.multiply(x, b[0], out=out)
-        y += z[0]
-        for i in range(n - 1):
-            np.subtract(z[i + 1], np.multiply(y, a[i + 1], out=z[i]), out=z[i])
-        np.subtract(t, np.multiply(y, a[n], out=z[n - 1]), out=z[n - 1])
+        shifts = list(zip(z[1:], a[1:n], z))
+        first, last, an = z[0], z[-1], a[n]
+        for r in range(len(y)):
+            row = y[r, ...]
+            row += first
+            for after, ai, zi in shifts:
+                np.subtract(after, np.multiply(row, ai, out=zi), out=zi)
+            np.subtract(t[r], np.multiply(row, an, out=last), out=last)
         return y
 
     def _scalar_step(self, z: list):

@@ -224,13 +224,6 @@ def write_float_stack(path, frames) -> None:
             out.write(frame)
 
 
-def read_float_stack(path) -> np.ndarray:
-    """Load a whole float32 raw stack through FloatStackReader, which
-    validates it; returns (F, H, W) float64."""
-    stack = FloatStackReader(path)
-    return np.fromiter(stack, np.dtype((float, stack.shape)), len(stack))
-
-
 # --------------------------------------------------------- signal CSV
 
 def read_signal_csv(path) -> np.ndarray:

@@ -195,20 +195,21 @@ _BAND_VALUES = 8192
 # and leaves the caller the rest and whatever its consumer does between
 # results.  In-process ms a frame, two bands -> pipeline, over 150-400
 # frames in 4 interleaved pairs on 2 vCPUs, with a consumer that writes
-# each result as the CLI does and with one that does nothing, and the
-# pipeline's extra peak RSS in this process + in the helper:
+# each result as the CLI does, and the pipeline's extra peak RSS in this
+# process + in the helper:
 #
-#   frame    CLI-like consumer      no consumer            extra RSS, MB
-#   96x96    2.6-2.9 -> 1.8-2.0                            1.6 + 0.6
-#   128x128  3.7-4.2 -> 2.4-2.8     3.2-3.5 -> 2.3-3.2     2.8 + 1.1
-#   256x256  10.9-12.8 -> 9.2-10.6  9.1-11.8 -> 8.5-9.3    3.9 + 3.0
-#   320x240  11.7-15.2 -> 9.9-10.9  11.0-13.9 -> 10.0-11.9 4.2 + 4.1
-#   480x360  28.8-29.2 -> 24.8-28.3 23.7-42.4 -> 23.6-26.1 6.2 + 3.4
-#   640x480  46.3-52.2 -> 44.3-48.5 41.2-49.2 -> 42.9-52.0 8.7 + 6.1
+#   frame    CLI-like consumer      extra RSS, MB
+#   96x96    2.6-2.9 -> 1.8-2.0     1.6 + 0.6
+#   128x128  3.7-4.2 -> 2.4-2.8     2.8 + 1.1
+#   256x256  10.9-12.8 -> 9.2-10.6  3.9 + 3.0
+#   320x240  11.7-15.2 -> 9.9-10.9  4.2 + 4.1
+#   480x360  28.8-29.2 -> 24.8-28.3 6.2 + 3.4
+#   640x480  46.3-52.2 -> 44.3-48.5 8.7 + 6.1
 #
-# The pipeline won every pair up to 320x240.  From 480x360 the helper's
-# share outweighs the caller's by more than a light consumer's work: with
-# no consumer the pipeline won 3 pairs of 4 there and none at 640x480.
+# Memory, not speed, keeps large frames on two bands.  The flow-vga
+# benchmark (seed 1, 6 interleaved 15 s pairs on 2 vCPUs, checksums
+# unchanged), two bands -> pipeline at 640x480: 30.4 -> 39.0 frames/s,
+# the pipeline winning 6 of 6, but peak RSS 292.9 -> 327.6 MB, 11.8%.
 # So frames from 2**17 values (about 362x362) up keep two bands.
 _SPLIT_VALUES = 2**17
 
@@ -242,26 +243,19 @@ def _stacked_column_pass(half: LdeCoefficients, work: np.ndarray) -> None:
     """Run both halves of the two-sided pair whose halves are both the
     order-1 ``half`` down axis 0 of the k planes work[:, :k] of an (H, 2k,
     W) ``work``, in place and left unsummed.  work[:, k:] takes the rows
-    reversed, so step i advances the forward half on row i and the
-    backward half on row H-1-i of every plane at once.  Afterwards row
-    i of plane j's pass, the bytes of filter_image_separable(...,
+    reversed, so that ``half._step``, run on blocks of 16 rows from the
+    state held at row 0, advances the forward half on row i and the
+    backward half on row H-1-i of every plane at once.  Afterwards row i
+    of plane j's pass, the bytes of filter_image_separable(...,
     Axis.COLS), is work[i, j] + work[::-1][i, k + j]."""
     k = work.shape[1] // 2
     # a ufunc copy: np.copyto cannot tell that the reversed slots are
     # disjoint and would buffer all k planes first
     np.positive(work[::-1, :k], out=work[:, k:])
-    (b0, b1), (_, a1) = half._taps
-    z = half._held(work[0])[0]
-    # the products with x of a block of rows in two calls, so that a row
-    # takes three: y = b0*x + z and z = b1*x - a1*y, with _step's roundings
-    b1x = np.empty((16,) + work.shape[1:])
-    for block in range(0, len(work), len(b1x)):
-        rows = work[block: block + len(b1x)]
-        np.multiply(rows, b1, out=b1x[: len(rows)])
-        rows *= b0
-        for y, t in zip(rows, b1x):
-            y += z
-            np.subtract(t, np.multiply(y, a1, out=z), out=z)
+    z, t = half._held(work[0]), np.empty((16,) + work.shape[1:])
+    for block in range(0, len(work), len(t)):
+        rows = work[block: block + len(t)]
+        half._step(z, rows, rows, t[: len(rows)])
 
 
 def _stop_helper(pid: int, commands: int, done: int, owner: int) -> None:
@@ -584,7 +578,7 @@ class _FlowEngine:
             j, scratch = self._strip[:, :rows], self._scratch[:, :rows]
             for cols, forward, backward in halves:
                 np.add(forward[:, s], backward[:, s], out=j[:, :, cols])
-            self._temporal_smoother._step(self._temporal[:, :, s], j, j, scratch)
+            self._temporal_smoother._step(self._temporal[:, :, s], j[None], j[None], scratch[None])
             strip = FlowField(vx=field.vx[s], vy=field.vy[s], valid=field.valid[s])
             solve_flow(j, self.cfg, scratch=scratch[:3], out=strip)
             for k, (a, b) in enumerate(_PRODUCTS):

@@ -8,8 +8,9 @@ causal filter.  Streaming paths take causal filters only.
 
 Each half runs itself through its private methods (see
 design.LdeCoefficients): the whole-array pass, the stepped array update
-of FrameFilter and FilterState's compiled scalar step agree bit for bit;
-tests rely on that.
+(``_step``, which FrameFilter and the flow engine's stacked column pass
+and temporal smoother all run) and FilterState's compiled scalar step
+agree bit for bit; tests rely on that.
 
 The per-pixel paths, FrameFilter and the flow engine's tail, run in
 row strips of about 16 K values (``_row_strips``), so that the planes a
@@ -100,21 +101,20 @@ class FrameFilter:
         self._shape = shape = tuple(shape)
         self.state = (np.zeros((coefficients.order,) + shape) if hold is None
                       else coefficients._held(_real(hold, "hold", shape=shape)))
+        # row strips with their scratch, one-row blocks for _step (0-d: one 0-d row)
+        self._strips = [(..., np.empty(1))]
         if shape:
-            rows, self._strips = _row_strips(shape[0], math.prod(shape[1:]))
-            self._scratch = np.empty((rows,) + shape[1:])
-        else:
-            self._scratch = np.empty(())
+            rows, strips = _row_strips(shape[0], math.prod(shape[1:]))
+            scratch = np.empty((1, rows) + shape[1:])
+            self._strips = [(s, scratch[:, : s.stop - s.start]) for s in strips]
 
     def step(self, frame: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Advance every pixel by one frame and return the output frame,
         written into ``out`` when given; ``out`` may be ``frame`` itself."""
-        x, t, half = _real(frame, "frame", shape=self._shape), self._scratch, self.coefficients
-        if not x.ndim:
-            return half._step(self.state, x, out, t)
+        x = _real(frame, "frame", shape=self._shape)
         y = np.empty(x.shape) if out is None else out
-        for s in self._strips:
-            half._step(self.state[:, s], x[s], y[s], t[: s.stop - s.start])
+        for s, t in self._strips:
+            self.coefficients._step(self.state[:, s], x[None, s], y[None, s], t)
         return y
 
 

@@ -23,9 +23,9 @@ import fadefilt.cli
 from fadefilt.cli import main
 from fadefilt.design import LdeCoefficients
 from fadefilt.fileio import (
+    FloatStackReader,
     PgmDirReader,
     read_coefficients_json,
-    read_float_stack,
     read_pgm,
     read_signal_csv,
     write_float_stack,
@@ -278,7 +278,7 @@ def test_filter_f32_time_stack(tmp_path):
     write_float_stack(src, np.full((8, 6, 5), 3.0))
     assert main(["filter", "--coeff", str(coeff), "--input", str(src),
                  "--out", str(dst)]) == 0
-    out = read_float_stack(dst)
+    out = np.stack(list(FloatStackReader(dst)))
     assert out.shape == (8, 6, 5)
     assert np.allclose(out, 3.0, atol=1e-5)
     assert main(["filter", "--coeff", str(coeff), "--input", str(src),
@@ -294,7 +294,8 @@ def test_filter_f32_time_stack_pure_gain(tmp_path):
     write_float_stack(src, frames)
     assert main(["filter", "--coeff", str(coeff), "--input", str(src),
                  "--out", str(dst), "--axis", "time"]) == 0
-    assert np.array_equal(read_float_stack(dst), 2.0 * read_float_stack(src))
+    got, given = (np.stack(list(FloatStackReader(path))) for path in (dst, src))
+    assert np.array_equal(got, 2.0 * given)
 
 
 @pytest.mark.parametrize("axis", ["time", "rows"])
@@ -306,7 +307,7 @@ def test_filter_f32_stack_bytes(tmp_path, axis):
     assert main(["filter", "--coeff", str(coeff), "--input", str(src),
                  "--out", str(dst), "--axis", axis]) == 0
     filt, _ = read_coefficients_json(coeff)
-    frames = read_float_stack(src)
+    frames = list(FloatStackReader(src))
     if axis == "time":
         planes = list(filter_time_stack(filt, frames, Priming.HOLD_FIRST))
     else:
@@ -397,9 +398,8 @@ def test_flow_run_and_manifest(tmp_path):
     assert manifest["versions"] == {"python": platform.python_version(),
                                     "numpy": np.__version__, "scipy": scipy.__version__}
 
-    vx = read_float_stack(out / "vx.f32")
-    vy = read_float_stack(out / "vy.f32")
-    dj = read_float_stack(out / "dj.f32")
+    vx, vy, dj = (np.stack(list(FloatStackReader(out / f"{name}.f32")))
+                  for name in ("vx", "vy", "dj"))
     assert vx.shape == vy.shape == dj.shape == (16, 48, 48)
     previews = sorted(out.glob("dj_*.pgm"))
     assert len(previews) == 16
@@ -420,7 +420,8 @@ def test_flow_short_stream_and_strict(tmp_path, capsys):
     assert main(["flow", "--frames", str(src), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["frames_out"] == 0
-    assert read_float_stack(out / "dj.f32").shape == (0, 8, 8)
+    dj = FloatStackReader(out / "dj.f32")
+    assert (len(dj), *dj.shape) == (0, 8, 8)
     capsys.readouterr()
 
 
@@ -528,7 +529,8 @@ def test_flow_with_a_delay_longer_than_the_stream_writes_empty_stacks(tmp_path, 
     assert manifest["frames_in"] == 10 and manifest["frames_out"] == 0
     assert manifest["config"]["temporal_q"] == float(q)
     for name in ("vx", "vy", "dj"):
-        assert read_float_stack(out / f"{name}.f32").shape == (0, 16, 16)
+        stack = FloatStackReader(out / f"{name}.f32")
+        assert (len(stack), *stack.shape) == (0, 16, 16)
 
 
 @pytest.mark.parametrize("points", [10**15, 2**63 - 1, 2**64])
@@ -644,7 +646,7 @@ def test_flow_outputs_match_library_bytes(tmp_path, kind):
     if kind == "f32":
         src = tmp_path / "frames.f32"
         write_float_stack(src, frames)
-        library_input = read_float_stack(src)
+        library_input = list(FloatStackReader(src))
     else:
         src = tmp_path / "frames"
         src.mkdir()

@@ -16,7 +16,6 @@ from fadefilt.fileio import (
     coefficients_from_doc,
     coefficients_json,
     read_coefficients_json,
-    read_float_stack,
     read_pgm,
     read_signal_csv,
     write_float_stack,
@@ -86,7 +85,7 @@ def test_float_stack_round_trip(tmp_path):
     sidecar = json.loads((tmp_path / "stack.f32.json").read_text())
     assert sidecar == {"frames": 4, "height": 5, "width": 6}
     assert path.read_bytes() == frames.astype("<f4").tobytes()
-    back = read_float_stack(path)
+    back = np.stack(list(FloatStackReader(path)))
     assert back.shape == (4, 5, 6)
     assert np.allclose(back, frames, atol=1e-6)
 
@@ -95,7 +94,7 @@ def test_float_stack_single_plane(tmp_path):
     plane = np.arange(12, dtype=float).reshape(3, 4)
     path = tmp_path / "one.f32"
     write_float_stack(path, plane)
-    back = read_float_stack(path)
+    back = np.stack(list(FloatStackReader(path)))
     assert back.shape == (1, 3, 4)
     assert np.allclose(back[0], plane)
 
@@ -105,8 +104,6 @@ def test_float_stack_size_mismatch(tmp_path):
     path = tmp_path / "bad.f32"
     write_float_stack(path, frames)
     path.write_bytes(path.read_bytes()[:-4])
-    with pytest.raises(ValueError):
-        read_float_stack(path)
     with pytest.raises(ValueError):
         FloatStackReader(path)
 
@@ -119,7 +116,7 @@ def test_float_stack_reader_streams_frames(tmp_path):
     assert len(reader) == 5 and reader.shape == (3, 4)
     streamed = list(reader)
     assert all(f.dtype == np.float64 and f.shape == (3, 4) for f in streamed)
-    assert np.array_equal(np.stack(streamed), read_float_stack(path))
+    assert np.array_equal(np.stack(streamed), frames.astype("<f4"))
 
 
 def test_float_stack_writer_appears_only_when_closed(tmp_path):
@@ -134,7 +131,7 @@ def test_float_stack_writer_appears_only_when_closed(tmp_path):
             out.write(np.zeros((5, 2)))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.f32", "out.f32.json"]
     assert path.read_bytes() == frames.astype("<f4").tobytes()
-    assert read_float_stack(path).shape == (3, 2, 5)
+    assert np.stack(list(FloatStackReader(path))).shape == (3, 2, 5)
 
 
 def test_float_stack_writer_aborts_on_error(tmp_path):
@@ -169,7 +166,8 @@ def test_float_stack_writer_empty_stack(tmp_path):
     with FloatStackWriter(path, (4, 3)):
         pass
     assert path.read_bytes() == b""
-    assert read_float_stack(path).shape == (0, 4, 3)
+    stack = FloatStackReader(path)
+    assert (len(stack), *stack.shape) == (0, 4, 3)
 
 
 def _write_a_frame(path, shape) -> None:
@@ -204,19 +202,17 @@ def test_float_stack_sidecar_fields_are_validated(tmp_path, meta, field):
     path = tmp_path / "bad.f32"
     path.write_bytes(np.zeros(16, dtype="<f4").tobytes())
     (tmp_path / "bad.f32.json").write_text(json.dumps(meta))
-    for reader in (read_float_stack, FloatStackReader):
-        with pytest.raises(ValueError, match=f"'{field}' must be a"):
-            reader(path)
+    with pytest.raises(ValueError, match=f"'{field}' must be a"):
+        FloatStackReader(path)
 
 
 def test_float_stack_sidecar_that_is_not_json_names_the_stack(tmp_path):
     path = tmp_path / "bad.f32"
     path.write_bytes(np.zeros(16, dtype="<f4").tobytes())
     (tmp_path / "bad.f32.json").write_text("{width: 4}")
-    for reader in (read_float_stack, FloatStackReader):
-        with pytest.raises(ValueError, match=f"^bad sidecar for {re.escape(str(path))}: "
-                                             "Expecting property name"):
-            reader(path)
+    with pytest.raises(ValueError, match=f"^bad sidecar for {re.escape(str(path))}: "
+                                         "Expecting property name"):
+        FloatStackReader(path)
 
 
 def test_signal_csv_round_trip(tmp_path):
@@ -332,4 +328,4 @@ def test_float_stack_reader_rejects_non_finite_samples(tmp_path):
     with pytest.raises(ValueError, match=message):
         next(stream)
     with pytest.raises(ValueError, match=message):
-        read_float_stack(path)
+        list(FloatStackReader(path))

@@ -165,19 +165,24 @@ def test_frame_step_in_place_matches_separate_out(order, priming):
 @pytest.mark.parametrize("order", [0, 1, 4, 11])
 def test_step_down_the_rows_is_the_whole_pass_bitwise(order, priming):
     lde, hold = _of_order(order), priming is Priming.HOLD_FIRST
-    x = np.random.default_rng(order).standard_normal((30, 7))
-    want = lde._pass(x, 0, hold)
-    # out apart, and in place on each row as the flow's column pass steps
-    for in_place in (False, True):
-        z = lde._held(x[0]) if hold else np.zeros((order, 7))
-        rows, t = x.copy(), np.empty(7)
-        got = np.stack([lde._step(z, row, row if in_place else None, t) for row in rows])
-        assert got.tobytes() == want.tobytes()
-    # 0-d samples, whose step yields numpy scalars
-    signal = x[:, 0]
-    z = lde._held(signal[0]) if hold else np.zeros(order)
-    got = np.array([lde._step(z, np.asarray(v), None, np.empty(())) for v in signal])
-    assert got.tobytes() == lde._pass(signal, 0, hold).tobytes()
+    image = np.random.default_rng(order).standard_normal((30, 7))
+    # rows of 7 samples, and 0-d rows, which the step must still write in place
+    for x in (image, image[:, 0]):
+        want = lde._pass(x, 0, hold)
+        # one-row blocks, as FrameFilter steps, and where the order allows,
+        # blocks of 16 rows with a partial last one, as the flow's column pass
+        for size in (1, 16) if order < 2 else (1,):
+            # out apart, and in place as the column pass steps
+            for in_place in (False, True):
+                z = lde._held(x[0]) if hold else np.zeros((order,) + x.shape[1:])
+                rows, t = x.copy(), np.empty((size,) + x.shape[1:])
+                blocks = [rows[i: i + size] for i in range(0, len(rows), size)]
+                got = np.concatenate([lde._step(z, block, block if in_place else None,
+                                                t[: len(block)]) for block in blocks])
+                assert got.tobytes() == want.tobytes()
+    if order >= 2:
+        with pytest.raises(ValueError, match="one-row block"):
+            lde._step(np.zeros((order, 7)), image[:2], None, np.empty((2, 7)))
 
 
 # several row strips each, the last one partial
@@ -199,7 +204,7 @@ def test_frame_step_in_strips_matches_one_whole_array_step(order, priming, shape
         hold, z = None, np.zeros((order,) + shape)
     stepped, in_place = FrameFilter(lde, shape, hold=hold), FrameFilter(lde, shape, hold=hold)
     for frame in frames:
-        want = lde._step(z, frame, None, np.empty(shape))
+        want = lde._step(z, frame[None], None, np.empty((1,) + shape))[0]
         assert stepped.step(frame).tobytes() == want.tobytes()
         buffer = frame.copy()
         assert in_place.step(buffer, out=buffer) is buffer
