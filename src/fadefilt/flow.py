@@ -27,8 +27,8 @@ a delay line of the last q frames seen, into which it copies each frame
 (so a producer may refill one buffer for every frame), and one workspace
 reused for every frame, which must have the first frame's shape.  The
 per-pixel stages run in cache-sized row strips, and a large enough
-frame runs on two CPUs, pipelined or as two bands with a forked helper
-process, all with the bits of whole-frame calls; see _FlowEngine.
+frame runs on two CPUs, pipelined with a forked helper process, all
+with the bits of whole-frame calls; see _FlowEngine.
 
 The temporal differentiator is primed by holding the first frame and
 the product smoother starts from zero state, which shortens but does
@@ -152,33 +152,20 @@ _PRODUCTS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2))
 
 
 def _can_fork() -> bool:
-    """Whether this process may run a band in a forked helper: fork
+    """Whether this process may run a helper in a forked process: fork
     exists, a second CPU is there to run the helper, and no other
     thread runs, whose locks the helper would inherit held."""
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
 
 
-# Values in a frame from which the flow engine runs it on two CPUs, a
-# forked helper process taking part of every frame (_FlowEngine).
-# process_sequence over 40 frames cycled to 400, two bands against one
-# in interleaved pairs on 2 vCPUs, fork included, in two rounds of 8 and
-# 12 pairs:
-#
-#   frame    pairs two bands won   median time, two bands : one
-#   64x64    15 of 20              1.05, 0.89
-#   72x72    12 of 20              0.92, 0.91
-#   80x80    14 of 20              0.98, 0.86
-#   88x88    16 of 20              0.87, 0.85
-#   96x96    18 of 20              0.92, 0.78
-#   128x128  19 of 20              0.94, 0.77
-#
-# Two bands win from 64x64 more often than not, but 9 times in 10 only
-# from 96x96, and the helper costs a second process (about 5 MB more
-# summed PSS at 128x128) and 5-8 ms more for the first result, which
-# pays the fork.  So the helper starts at 8192 values, about 90x90.
-# The pipeline, which now runs these sizes (_SPLIT_VALUES), measured
-# the same way against one process in 6 pairs:
+# Values in a frame from which the flow engine forks a helper process
+# that pipelines whole frames with this one (_FlowEngine).  The value
+# was set for an earlier schedule, which split every stage into two
+# bands: it won 9 times in 10 only from 96x96, and the helper costs a
+# second process and 5-8 ms more for the first result, which pays the
+# fork.  The pipeline, measured by process_sequence over 40 frames
+# cycled to 400 against one process, in 6 interleaved pairs on 2 vCPUs:
 #
 #   frame    pairs the pipeline won   median time, pipeline : one
 #   64x64    6 of 6                   0.74
@@ -186,49 +173,18 @@ def _can_fork() -> bool:
 #   96x96    6 of 6                   0.64
 #   128x128  6 of 6                   0.62
 #
-# So the threshold could fall; below 64x64 is not measured.
-_BAND_VALUES = 8192
-
-# Values in a frame from which the engine splits every stage into two
-# bands instead of pipelining whole frames (_FlowEngine).  The pipeline
-# gives the helper the gradients and row passes, about 60% of a frame,
-# and leaves the caller the rest and whatever its consumer does between
-# results.  In-process ms a frame, two bands -> pipeline, over 150-400
-# frames in 4 interleaved pairs on 2 vCPUs, with a consumer that writes
-# each result as the CLI does, and the pipeline's extra peak RSS in this
-# process + in the helper:
-#
-#   frame    CLI-like consumer      extra RSS, MB
-#   96x96    2.6-2.9 -> 1.8-2.0     1.6 + 0.6
-#   128x128  3.7-4.2 -> 2.4-2.8     2.8 + 1.1
-#   256x256  10.9-12.8 -> 9.2-10.6  3.9 + 3.0
-#   320x240  11.7-15.2 -> 9.9-10.9  4.2 + 4.1
-#   480x360  28.8-29.2 -> 24.8-28.3 6.2 + 3.4
-#   640x480  46.3-52.2 -> 44.3-48.5 8.7 + 6.1
-#
-# Memory, not speed, keeps large frames on two bands.  The flow-vga
-# benchmark (seed 1, 6 interleaved 15 s pairs on 2 vCPUs, checksums
-# unchanged), two bands -> pipeline at 640x480: 30.4 -> 39.0 frames/s,
-# the pipeline winning 6 of 6, but peak RSS 292.9 -> 327.6 MB, 11.8%.
-# So frames from 2**17 values (about 362x362) up keep two bands.
-_SPLIT_VALUES = 2**17
+# So the threshold could fall; below 64x64 is not measured.  There is
+# no upper bound: at 640x480 the pipeline ran the flow-vga benchmark
+# (seed 1, 10 interleaved 25 s pairs) at 38.7 frames/s against 30.1 for
+# two bands, winning 10 of 10, and peaked at 298.8 MB RSS against 294.8.
+_HELPER_VALUES = 8192
 
 
-def _schedule(height: int, width: int, fork: bool) -> tuple[int, list[tuple[slice, slice]]]:
-    """The frame slots and the (rows, columns) bands of the flow engine's
-    schedule for ``height`` x ``width`` frames, when the process may
-    ``fork``: below ``_BAND_VALUES`` values, or without ``fork``, one slot
-    of one band, the whole frame; below ``_SPLIT_VALUES`` values, or with
-    a single row or column, the pipeline's two slots of the whole frame;
-    else one slot of two bands, the top rows with the left columns and
-    the bottom rows with the right columns."""
-    whole = [(slice(0, height), slice(0, width))]
-    if not fork or height * width < _BAND_VALUES:
-        return 1, whole
-    if height * width < _SPLIT_VALUES or min(height, width) < 2:
-        return 2, whole
-    r, c = height // 2, width // 2
-    return 1, [(slice(0, r), slice(0, c)), (slice(r, height), slice(c, width))]
+def _schedule(height: int, width: int, fork: bool) -> bool:
+    """Whether the flow engine pipelines ``height`` x ``width`` frames
+    with a forked helper when the process may ``fork``: from
+    ``_HELPER_VALUES`` values up."""
+    return fork and height * width >= _HELPER_VALUES
 
 
 def _shared(shape, dtype=float) -> np.ndarray:
@@ -239,19 +195,29 @@ def _shared(shape, dtype=float) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
 
 
-def _stacked_column_pass(half: LdeCoefficients, work: np.ndarray) -> None:
-    """Run both halves of the two-sided pair whose halves are both the
-    order-1 ``half`` down axis 0 of the k planes work[:, :k] of an (H, 2k,
-    W) ``work``, in place and left unsummed.  work[:, k:] takes the rows
-    reversed, so that ``half._step``, run on blocks of 16 rows from the
-    state held at row 0, advances the forward half on row i and the
-    backward half on row H-1-i of every plane at once.  Afterwards row i
-    of plane j's pass, the bytes of filter_image_separable(...,
-    Axis.COLS), is work[i, j] + work[::-1][i, k + j]."""
+def _sides(work: np.ndarray, upper: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The data half of an (H, 2k, W) ``work``, its upper k planes when
+    ``upper`` and else its lower, and the other half, the mirror."""
     k = work.shape[1] // 2
+    lower, top = work[:, :k], work[:, k:]
+    return (top, lower) if upper else (lower, top)
+
+
+def _stacked_column_pass(half: LdeCoefficients, work: np.ndarray, upper: bool = False) -> None:
+    """Run both halves of the two-sided pair whose halves are both the
+    order-1 ``half`` down axis 0 of the k data planes of an (H, 2k, W)
+    ``work``, in place and left unsummed: the lower k planes, or the
+    upper k when ``upper`` (_sides).  The other k, the mirror, take the
+    data rows reversed, so that ``half._step``, run on blocks of 16 rows
+    of all 2k planes from the state held at row 0, advances the forward
+    half on row i and the backward half on row H-1-i of every plane at
+    once.  Afterwards row i of data plane j's pass, the bytes of
+    filter_image_separable(..., Axis.COLS), is data[i, j] +
+    mirror[::-1][i, j]."""
+    data, mirror = _sides(work, upper)
     # a ufunc copy: np.copyto cannot tell that the reversed slots are
     # disjoint and would buffer all k planes first
-    np.positive(work[::-1, :k], out=work[:, k:])
+    np.positive(data[::-1], out=mirror)
     z, t = half._held(work[0]), np.empty((16,) + work.shape[1:])
     for block in range(0, len(work), len(t)):
         rows = work[block: block + len(t)]
@@ -277,78 +243,70 @@ def _stop_helper(pid: int, commands: int, done: int, owner: int) -> None:
     os.close(done)
 
 
-@dataclass(frozen=True)
-class _Band:
-    rows: slice
-    cols: slice
-    strips: list  # the row strips of ``rows``
-    work: np.ndarray  # the (H, 10, W_band) workspace of ``cols``
-    iz: FrameFilter  # the temporal differentiator of ``rows``
-
-
 class _FlowEngine:
     """Filters, delay line and workspace of one frame stream.
 
     The spatial path runs on the frame the temporal derivative refers
     to, q = frame_delay frames back, so the first result is due at
     frame q, and until then a frame only fills the delay line, a ring of
-    shared planes from frame 0 on.  Frame n is copied once, into slot n
-    mod the ring's length, and the spatial path reads frame n - q from
-    it.  A frame that finds the ring full while it holds fewer than
-    q + 1 planes grows it in one new mapping by as many planes as it
-    holds (at least one, never past q + 1), so a full ring takes
-    ceil(log2(q + 1)) + 1 mappings and, as unwritten pages cost no
-    memory, the delay line holds no more frames than were seen.  A
-    producer may refill one buffer for every frame.
+    shared planes from frame 0 on.  Frame n is copied into slot n mod
+    the ring's length (once, or in the pipeline by way of an inbox, see
+    below), and the spatial path reads frame n - q from it.  A frame
+    that finds the ring full while it holds fewer than q + 1 planes
+    grows it in one new mapping by as many planes as it holds (at least
+    one, never past q + 1), so a full ring takes ceil(log2(q + 1)) + 1
+    mappings and, as unwritten pages cost no memory, the delay line
+    holds no more frames than were seen.  A producer may refill one
+    buffer for every frame.
 
     At frame q the engine starts (_start): it picks its schedule
     (below), allocates every other plane for reuse on each later frame,
-    and steps each band's order-4 temporal differentiator, a FrameFilter
-    hold-primed on the band's rows of frame 0, over frames 0 to q - 1.
-    Each stage writes into its buffer with out= ufuncs, in the
-    floating-point order of the standalone stage functions, so results
-    match them bit for bit.
+    and primes the order-4 temporal differentiator (_prime), a
+    FrameFilter hold-primed on frame 0 and stepped over frames 0 to
+    q - 1, in the process that will step it.  Each stage writes into its
+    buffer with out= ufuncs, in the floating-point order of the
+    standalone stage functions, so results match them bit for bit.
 
-    A frame runs in four stages, each over a band: the gradients (the
-    band's rows of I_z and I_x, its columns of I_y), the products and
-    their row passes (its rows), the stacked column pass (its columns)
-    and the strip tail (its rows).  The row pass of product k goes to
-    slot k of each column band's own (H, 10, W_band) workspace; the
-    column pass leaves the forward halves in slots 0-4 and the backward
-    halves, rows reversed, in slots 5-9.  The tail then runs in row
-    strips (runtime._row_strips): for each strip it sums the two halves
-    into a contiguous (5, rows, W) buffer, steps the temporal smoother
-    there in place, solves for the flow, refills the buffer with the
-    strip's raw products and takes the disparity of those rows.  A
-    strip's planes stay in cache between these stages, where
-    whole-frame planes would stream through memory once per ufunc.
+    A frame runs in four stages: the gradients (I_z, I_x and I_y), the
+    products and their row passes, the stacked column pass and the
+    strip tail.  The row pass of product k goes to data plane k of the
+    frame slot's workspace; the column pass leaves the forward halves
+    there and the backward halves, rows reversed, in the mirror planes
+    (_stacked_column_pass).  The tail then runs in row strips
+    (runtime._row_strips): for each strip it sums the two halves into a
+    contiguous (5, rows, W) buffer, steps the temporal smoother there in
+    place, solves for the flow, refills the buffer with the strip's raw
+    products and takes the disparity of those rows.  A strip's planes
+    stay in cache between these stages, where whole-frame planes would
+    stream through memory once per ufunc.
 
     The schedule (_schedule) follows from the frame size and whether
-    the process may fork (_can_fork), and is one of three:
+    the process may fork (_can_fork), and is one of two:
 
-    - one band, the whole frame, in this process: frames below
-      _BAND_VALUES values, or no fork;
-    - the pipeline, below _SPLIT_VALUES values: a helper process forked
-      by _start runs the gradients and row passes of frame n while this
-      process runs the column pass and tail of frame n - 1, so each
-      result comes one input frame late, and flush() gives the last.
-      Each frame costs one command byte and one done byte.  Two frame
-      slots each hold their own gradients and (H, 10, W) workspace, and
-      the ring holds one more frame, q + 2, so that frame n + 1 can land
-      while the helper still reads frames n and n - q;
-    - two bands, the top rows with the left columns and the bottom rows
-      with the right columns: a helper forked by _start runs band 1 of
-      every stage while this process runs band 0, with a 1-byte pipe
-      round trip per stage, and this process copies band 1's outputs.
+    - one process, frames below _HELPER_VALUES values, or no fork: all
+      four stages of a frame run here, on one (H, 10, W) workspace;
+    - the pipeline: a helper process forked by _start runs the gradients
+      and row passes of frame n while this process runs the column pass
+      and tail of frame n - 1, so each result comes one input frame
+      late, and flush() gives the last.  Each frame costs one command
+      byte and one done byte.  The two frame slots each hold their own
+      gradients and share one (H, 15, W) workspace: slot 0 takes planes
+      0-9 and slot 1 planes 5-14, its data in the upper half, so the
+      mirror planes 5-9, which only this process's column pass and tail
+      touch, one frame at a time, serve both.  After the fork this
+      process drops its views of the delay line and never builds I_z:
+      the helper owns both.  Frame n reaches the helper through a
+      2-plane shared inbox, slot n mod 2, and the helper copies it into
+      its ring before its gradients.
 
-    The planes both processes touch (the delay line and its position,
-    the gradients, the workspaces and band 1's outputs) live in anonymous
+    The planes both processes touch (the delay line, the inbox, the
+    frame index, the gradients and the workspace) live in anonymous
     shared mmaps; the differentiator state stays private to the process
     that steps it (the helper's in the pipeline) and the temporal
     smoother's to the one that runs the tail.  Every value gets the
-    operations of one whole-frame call, so every schedule gives the bits
-    of one band.  If the system refuses a pipe or the fork, this process
-    runs every stage, with no lag.
+    operations of one whole-frame call, so both schedules give the bits
+    of one process.  If the system refuses a pipe or the fork, this
+    process runs every stage, with no lag.
 
     The temporal product smoother starts from zero state.  A shared
     start-up attenuation on all five products cancels in the flow solve
@@ -370,45 +328,48 @@ class _FlowEngine:
         self._pending: int | None = None  # the frame the helper has, in the pipeline
 
     def _start(self) -> None:
-        """Pick the schedule, build its planes and helper once the ring holds frames 0 to q."""
+        """Pick the schedule and build its planes and helper once the ring
+        holds frames 0 to q; prime I_z in the process that steps it."""
         height, width = self.shape
-        slots, split = _schedule(height, width, _can_fork())
-        if slots == 2:  # frame n + 1 lands while the helper still reads frames n and n - q
-            self._ring.extend(_shared((1, height, width)))
+        pipelined = _schedule(height, width, _can_fork())
         self._now = _shared((), np.int64)
-        vx, vy, dj = _shared((3, height, width))
-        self._shared_out = vx, vy, _shared((height, width), bool), dj
-        # sized by the last band, which has the most rows: a band's products,
-        # the summed, then smoothed, then raw products of one strip, and scratch
-        # for the temporal step and (its first three planes) the solve and disparity
-        last = split[-1][0]
-        self._product = np.empty((last.stop - last.start, width))
-        strip_rows, _ = _row_strips(last.stop - last.start, width)
+        # a frame's product, then the summed, then smoothed, then raw products
+        # of one strip, and scratch for the temporal step and (its first three
+        # planes) the solve and disparity
+        self._product = np.empty(self.shape)
+        strip_rows, self._strips = _row_strips(height, width)
         self._strip, self._scratch = np.empty((2, 5, strip_rows, width))
         self._temporal = np.zeros((self._temporal_smoother.order, 5, height, width))
-        bands = []
-        for rows, cols in split:
-            band_height = rows.stop - rows.start
-            iz = FrameFilter(self._iz, (band_height, width), hold=self._ring[0][rows])
-            for frame in self._ring[: self.cfg.frame_delay]:  # no result reads their I_z
-                iz.step(frame[rows], out=self._product[:band_height])
-            strips = [slice(rows.start + s.start, rows.start + s.stop)
-                      for s in _row_strips(band_height, width)[1]]
-            bands.append((rows, cols, strips, iz))
-        # each slot has its own gradients and workspaces; its bands share their I_z
-        self._slots = [(_shared((3, height, width)),
-                        [_Band(r, c, s, _shared((height, 10, c.stop - c.start)), iz)
-                         for r, c, s, iz in bands])
-                       for _ in range(slots)]
-        if slots * len(split) > 1:
+        # slot s: its gradients and planes 5s to 5s + 9 of the workspace,
+        # whose data is in the upper half for slot 1
+        work = _shared((height, 15 if pipelined else 10, width))
+        self._slots = [(_shared((3, height, width)), work[:, 5 * s: 5 * s + 10], s == 1)
+                       for s in range(1 + pipelined)]
+        if pipelined:
+            self._inbox = _shared((2, height, width))
             self._fork()
+        if not self._pipes:
+            self._prime()
+
+    def _prime(self) -> None:
+        """Build I_z's FrameFilter, hold-primed on frame 0, and step it over
+        frames 0 to q - 1, whose I_z no result reads."""
+        self._iz_state = FrameFilter(self._iz, self.shape, hold=self._ring[0])
+        for frame in self._ring[: self.cfg.frame_delay]:
+            self._iz_state.step(frame, out=self._product)
 
     def step(self, frame: np.ndarray) -> FlowResult | None:
         """Feed the next input frame, a float array of frame 0's shape
         that the engine only reads; the result for frame n - q, or, in
         the pipeline, for frame n - q - 1; or None while none is due."""
-        n, q, ring = self._frames, self.cfg.frame_delay, self._ring
+        n, q = self._frames, self.cfg.frame_delay
         self._frames += 1
+        if self._pipes:  # the helper takes frame n from the inbox
+            np.copyto(self._inbox[n % 2], frame)
+            if self._pending is not None:
+                self._wait()
+            return self._send(n)
+        ring = self._ring
         if len(ring) == n <= q:  # full, and short of q + 1 planes
             ring.extend(_shared((min(max(n, 1), q + 1 - n), *self.shape)))
         np.copyto(ring[n % len(ring)], frame)
@@ -416,13 +377,15 @@ class _FlowEngine:
             return None
         if n == q:
             self._start()
-        if not (self._pipes and len(self._slots) == 2):
-            self._now[...] = n
-            return self._result(n, range(len(self._STAGES)))
-        # the pipeline: the helper takes stages 0-1 of frame n while this
-        # process runs stages 2-3 of frame n - 1, the pending frame
-        if self._pending is not None:
-            self._wait()
+            if self._pipes:  # frame q is in the helper's ring already
+                return self._send(n)
+        self._now[...] = n
+        return self._result(n, range(len(self._STAGES)))
+
+    def _send(self, n: int) -> FlowResult | None:
+        """The pipeline: have the helper run stages 0-1 of frame n while
+        this process runs stages 2-3 of the pending frame, n - 1, and
+        return its result, if there is one."""
         self._now[...] = n
         self._command(0b0011)
         pending, self._pending = self._pending, n
@@ -442,8 +405,9 @@ class _FlowEngine:
             self._reap()
 
     def _select(self, n: int) -> None:
-        """Point the stages at frame n's slot: its gradients and bands."""
-        self._g, self._bands = self._slots[n % len(self._slots)]
+        """Point the stages at frame n's slot: its gradients, its 10
+        workspace planes and which half of them holds its data."""
+        self._g, self._work, self._upper = self._slots[n % len(self._slots)]
 
     def _result(self, n: int, stages) -> FlowResult:
         """Run ``stages`` of frame n into fresh arrays, and its result."""
@@ -454,19 +418,16 @@ class _FlowEngine:
         dj = np.empty(self.shape)
         self._out = field, dj
         for stage in stages:
-            self._run(stage)
-        if self._pipes and len(self._bands) > 1:
-            rows = self._bands[1].rows
-            for mine, theirs in zip((field.vx, field.vy, field.valid, dj), self._shared_out):
-                mine[rows] = theirs[rows]
+            self._STAGES[stage](self)
         return FlowResult(frame_index=n - self.cfg.frame_delay,
                           warmed_up=n >= self.cfg.warmup_frames,
                           flow=field, disparity=dj)
 
     def _fork(self) -> None:
-        """Fork the helper, which serves the stages it is sent until it is
-        stopped.  If the system refuses a pipe or the fork, this process
-        runs every stage."""
+        """Fork the helper, which primes I_z and serves the stages it is
+        sent until it is stopped; this process then drops its views of
+        the delay line, which the helper keeps.  If the system refuses a
+        pipe or the fork, this process runs every stage."""
         commands = done = ()
         try:
             commands = os.pipe()
@@ -488,8 +449,7 @@ class _FlowEngine:
                 # finish (each stage of a 128x384 frame then took twice
                 # its time)
                 os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
-                vx, vy, valid, dj = self._shared_out
-                self._out = FlowField(vx=vx, vy=vy, valid=valid), dj
+                self._prime()
                 self._serve(commands[0], done[1])
                 status = 0
             except BaseException:
@@ -505,16 +465,21 @@ class _FlowEngine:
         self._pipes = commands[1], done[0]
         self._pid = pid
         self._reap = weakref.finalize(self, _stop_helper, pid, commands[1], done[0], os.getpid())
+        self._ring = []
 
     def _serve(self, commands: int, done: int) -> None:
-        """The helper's loop: run the stages whose bits are set in each
-        command byte on the last band of the slot of the frame at _now,
+        """The helper's loop: for each command byte, copy the frame at
+        _now from the inbox into the ring (frame q is there from before
+        the fork), run the stages whose bits are set on the frame's slot,
         and answer with one byte, until EOF or a stop byte."""
         while (command := os.read(commands, 1)) and command[0] < 1 << len(self._STAGES):
-            self._select(int(self._now))
+            n = int(self._now)
+            if n > self.cfg.frame_delay:
+                np.copyto(self._ring[n % len(self._ring)], self._inbox[n % 2])
+            self._select(n)
             for stage, run in enumerate(self._STAGES):
                 if command[0] >> stage & 1:
-                    run(self, self._bands[-1])
+                    run(self)
             os.write(done, b"\0")
 
     def _command(self, stages: int) -> None:
@@ -529,55 +494,37 @@ class _FlowEngine:
         if os.read(self._pipes[1], 1) != b"\0":
             raise RuntimeError(f"flow helper process {self._pid} has exited")
 
-    def _run(self, stage: int) -> None:
-        """Run ``stage`` on every band of the slot: with two bands and a
-        helper, band 1 in the helper while band 0 runs here."""
-        run = self._STAGES[stage]
-        if not self._pipes or len(self._bands) == 1:
-            for band in self._bands:
-                run(self, band)
-            return
-        self._command(1 << stage)
-        run(self, self._bands[0])
-        self._wait()
-
-    def _gradients(self, band: _Band) -> None:
-        """I_z and I_x on the band's rows, I_y on its columns."""
+    def _gradients(self) -> None:
+        """I_z, I_x and I_y of the frame at _now."""
         ring, (ix, iy, iz), n = self._ring, self._g, int(self._now)
         delayed = ring[(n - self.cfg.frame_delay) % len(ring)]
-        band.iz.step(ring[n % len(ring)][band.rows], out=iz[band.rows])
-        filter_image_separable(self._differentiator, delayed[band.rows], Axis.ROWS,
-                               out=ix[band.rows])
-        filter_image_separable(self._differentiator, delayed[:, band.cols], Axis.COLS,
-                               out=iy[:, band.cols])
+        self._iz_state.step(ring[n % len(ring)], out=iz)
+        filter_image_separable(self._differentiator, delayed, Axis.ROWS, out=ix)
+        filter_image_separable(self._differentiator, delayed, Axis.COLS, out=iy)
 
-    def _row_pass(self, band: _Band) -> None:
-        """The five products on the band's rows and their row passes,
-        each summed into every column band's workspace."""
-        g = self._g[:, band.rows]
-        product = self._product[: len(g[0])]
+    def _row_pass(self) -> None:
+        """The five products and their row passes, summed into the
+        slot's data planes."""
+        data, _ = _sides(self._work, self._upper)
         for k, (a, b) in enumerate(_PRODUCTS):
-            np.multiply(g[a], g[b], out=product)
-            forward, backward = _half_passes(self._smoother, product, 1, Priming.HOLD_FIRST)
-            for other in self._bands:
-                np.add(forward[:, other.cols], backward[:, other.cols],
-                       out=other.work[band.rows, k])
+            np.multiply(self._g[a], self._g[b], out=self._product)
+            forward, backward = _half_passes(self._smoother, self._product, 1, Priming.HOLD_FIRST)
+            np.add(forward, backward, out=data[:, k])
 
-    def _column_pass(self, band: _Band) -> None:
+    def _column_pass(self) -> None:
         # the smoother's halves are equal, so one recursion serves both
-        _stacked_column_pass(self._smoother.forward, band.work)
+        _stacked_column_pass(self._smoother.forward, self._work, self._upper)
 
-    def _tail(self, band: _Band) -> None:
-        """Sum, temporal step, solve and disparity of the band's rows,
-        strip by strip, into the process's outputs."""
+    def _tail(self) -> None:
+        """Sum, temporal step, solve and disparity, strip by strip, into
+        the result's arrays."""
         g, (field, dj) = self._g, self._out
-        halves = [(o.cols, o.work[:, :5].transpose(1, 0, 2), o.work[::-1, 5:].transpose(1, 0, 2))
-                  for o in self._bands]
-        for s in band.strips:
+        data, mirror = _sides(self._work, self._upper)
+        forward, backward = data.transpose(1, 0, 2), mirror[::-1].transpose(1, 0, 2)
+        for s in self._strips:
             rows = s.stop - s.start
             j, scratch = self._strip[:, :rows], self._scratch[:, :rows]
-            for cols, forward, backward in halves:
-                np.add(forward[:, s], backward[:, s], out=j[:, :, cols])
+            np.add(forward[:, s], backward[:, s], out=j)
             self._temporal_smoother._step(self._temporal[:, :, s], j[None], j[None], scratch[None])
             strip = FlowField(vx=field.vx[s], vy=field.vy[s], valid=field.valid[s])
             solve_flow(j, self.cfg, scratch=scratch[:3], out=strip)
@@ -585,7 +532,7 @@ class _FlowEngine:
                 np.multiply(g[a, s], g[b, s], out=j[k])
             background_disparity(j, strip, scratch=scratch[:3], out=dj[s])
 
-    # the stages of a frame, in order, each run on one band at a time
+    # the stages of a frame, in order
     _STAGES = (_gradients, _row_pass, _column_pass, _tail)
 
 
@@ -674,22 +621,24 @@ def process_sequence(
     Frames are only read, so the stream may reuse one buffer.  Each
     result owns its arrays.
 
-    Frames of at least flow._BAND_VALUES values run on two CPUs when
+    Frames of at least flow._HELPER_VALUES values run on two CPUs when
     the process may fork (see _FlowEngine): when the first result is
     due, a helper process is forked; before that, a frame only fills the
-    delay line.  Below flow._SPLIT_VALUES values the helper computes the
-    gradients and row passes of each frame while this process finishes
-    the frame before, so each result comes one input frame later than
-    it would in one process: the result for frame n - q is yielded after
-    frame n + 1 is read, and the last one when the stream ends.  If the
-    stream raises, the result it still owes is yielded first.  The
-    pipeline holds a second frame slot of gradients and workspace and
-    one more delay-line frame, 112 bytes a pixel of shared planes.
-    Larger frames split every stage into two bands instead, whose
-    planes are those of one process.  The generator stops and reaps the
-    helper when it ends, is closed or raises; a process forked from the
-    caller never stops it.  If the helper dies, the next frame raises
-    RuntimeError, and a helper that fails writes its traceback to fd 2.
+    delay line.  The helper computes the gradients and row passes of
+    each frame while this process finishes the frame before, so each
+    result comes one input frame later than it would in one process:
+    the result for frame n - q is yielded after frame n + 1 is read, and
+    the last one when the stream ends.  If the stream raises, the result
+    it still owes is yielded first.  The pipeline maps 8 (24 + q) bytes
+    a pixel of shared planes, against 8 (14 + q) in one process, and
+    splits them: this process touches the workspace, both slots'
+    gradients and the frame inbox, 184 bytes a pixel, and the helper
+    the delay line, the inbox, the gradients and the workspace's data
+    planes, 8 (19 + q), and keeps I_z's state.  The generator stops and
+    reaps the helper when it ends, is closed or raises; a process forked
+    from the caller never stops it.  If the helper dies, the next frame
+    raises RuntimeError, and a helper that fails writes its traceback to
+    fd 2.
 
     Non-finite input is not repaired: one NaN or inf sample spreads
     along its row and column through the spatial filters and stays in

@@ -269,14 +269,26 @@ def test_solve_and_disparity_write_into_out_with_the_same_bytes():
 def test_stacked_column_pass_matches_per_plane_separable_bitwise(pole, height, width):
     smoother = FlowConfig(smoothing_pole=pole).spatial_smoother()
     planes = np.random.default_rng([height, width]).standard_normal((5, height, width))
+    want = [filter_image_separable(smoother, plane, Axis.COLS, Priming.HOLD_FIRST)
+            for plane in planes]
     work = np.full((height, 10, width), np.nan)
     work[:, :5] = planes.transpose(1, 0, 2)
     _stacked_column_pass(smoother.forward, work)
     # row i is the forward half on row i plus the backward half on row H-1-i
     got = work[:, :5] + work[::-1, 5:]
-    for k, plane in enumerate(planes):
-        want = filter_image_separable(smoother, plane, Axis.COLS, Priming.HOLD_FIRST)
-        assert np.array_equal(got[:, k], want)
+    for k in range(5):
+        assert np.array_equal(got[:, k], want[k])
+    # the pipeline's two slots share one (H, 15, W) workspace, slot 1's data
+    # in its upper half: a slot's pass leaves the other's data planes alone
+    shared = np.full((height, 15, width), np.nan)
+    shared[:, :5] = shared[:, 10:] = planes.transpose(1, 0, 2)
+    for upper, data in ((True, 10), (False, 0)):
+        other = shared[:, 10 - data: 15 - data].copy()
+        _stacked_column_pass(smoother.forward, shared[:, 5 * upper: 5 * upper + 10], upper)
+        got = shared[:, data: data + 5] + shared[::-1, 5:10]
+        for k in range(5):
+            assert np.array_equal(got[:, k], want[k])
+        assert np.array_equal(shared[:, 10 - data: 15 - data], other, equal_nan=True)
 
 
 def test_kept_results_are_not_overwritten_by_later_frames():

@@ -1,11 +1,12 @@
-"""The flow engine's helper schedules: a forked helper runs band 1 of
-every stage over shared memory (two bands), or the gradients and row
-passes of frame n while the caller finishes frame n - 1 (the pipeline).
-Both must give the bits of one band, and the helper must never outlive
-its stream, hang its caller or run where a fork is unsafe."""
+"""The flow engine's helper schedule, the pipeline: a forked helper runs
+the gradients and row passes of frame n over shared memory while the
+caller finishes frame n - 1.  It must give the bits of one process, map
+no more than it needs, and never outlive its stream, hang its caller or
+run where a fork is unsafe."""
 
 import contextlib
 import errno
+import gc
 import hashlib
 import math
 import os
@@ -13,11 +14,12 @@ import signal
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fadefilt import flow
@@ -27,7 +29,7 @@ from fadefilt.synthetic import add_gaussian_blob, translating_plaid
 from test_flow import MULTI_STRIP_SHA256, multi_strip_stream
 
 pytestmark = pytest.mark.skipif(not flow._can_fork(),
-                                reason="two bands need fork, two CPUs and no other thread")
+                                reason="the pipeline needs fork, two CPUs and no other thread")
 
 
 @contextlib.contextmanager
@@ -48,24 +50,22 @@ def spied_forks():
 
 
 # the schedules that fork a helper
-HELPERS = ("bands", "pipeline")
+HELPERS = ("pipeline",)
 
 
 @contextlib.contextmanager
 def schedule(how: str):
-    """Frames of any size run on one band, in the pipeline, or on two
-    bands (when they have two rows and two columns, else in the
-    pipeline), by both thresholds; yields the list of forked pids."""
-    values = {"one": (2**62, 2**62), "pipeline": (1, 2**62), "bands": (1, 1)}[how]
+    """Frames of any size run in one process or in the pipeline, by the
+    helper threshold; yields the list of forked pids."""
+    values = {"one": 2**62, "pipeline": 1}[how]
     with spied_forks() as forks, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flow, "_BAND_VALUES", values[0])
-        mp.setattr(flow, "_SPLIT_VALUES", values[1])
+        mp.setattr(flow, "_HELPER_VALUES", values)
         yield forks
 
 
 @contextlib.contextmanager
 def spied_schedules():
-    """Yields the list of the (slots, bands) that flow._schedule returns."""
+    """Yields the list of what flow._schedule returns: whether to pipeline."""
     schedules = []
     real_schedule = flow._schedule
 
@@ -99,28 +99,14 @@ def scene(frames: int, height: int, width: int, seed: int) -> np.ndarray:
     return stack + 0.01 * np.random.default_rng(seed).standard_normal(stack.shape)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(height=st.integers(1, 23), width=st.integers(1, 29), q=st.sampled_from([0, 1, 2, 4, 9]),
        extra=st.integers(1, 4), seed=st.integers(0, 2**16))
-def test_two_bands_give_the_bits_of_one(height, width, q, extra, seed):
-    cfg = FlowConfig(temporal_q=q)
-    frames = scene(q + extra, height, width, seed)
-    with schedule("one") as forks:
-        want = list(process_sequence(frames, cfg))
-    assert forks == []
-    with schedule("bands") as forks, spied_schedules() as schedules:
-        got = list(process_sequence(frames, cfg))
-    # a frame of one row or one column has no second band, so it takes
-    # the pipeline
-    assert [len(split) for _, split in schedules] == [2 if min(height, width) >= 2 else 1]
-    assert len(forks) == 1
-    same_bits(got, want)
-    assert_no_child()
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(height=st.integers(1, 23), width=st.integers(1, 29), q=st.sampled_from([0, 1, 2, 4, 9]),
-       extra=st.integers(1, 4), seed=st.integers(0, 2**16))
+# frames of two and more rows and columns, once the only ones that two
+# bands took, at the shortest and the longest delay lines
+@example(height=2, width=2, q=0, extra=3, seed=1)
+@example(height=17, width=23, q=1, extra=4, seed=2)
+@example(height=9, width=2, q=9, extra=2, seed=3)
 def test_the_pipeline_gives_the_bits_of_one_band(height, width, q, extra, seed):
     cfg = FlowConfig(temporal_q=q)
     frames = scene(q + extra, height, width, seed)
@@ -128,7 +114,7 @@ def test_the_pipeline_gives_the_bits_of_one_band(height, width, q, extra, seed):
         want = list(process_sequence(frames, cfg))
     with schedule("pipeline") as forks, spied_schedules() as schedules:
         got = list(process_sequence(frames, cfg))
-    assert [slots for slots, _ in schedules] == [2]
+    assert schedules == [True]
     assert len(forks) == 1
     same_bits(got, want)
     assert_no_child()
@@ -170,18 +156,11 @@ def multi_strip_digests() -> dict:
             for k, v in planes.items()}
 
 
-def test_multi_strip_outputs_are_pinned_under_two_bands():
-    with schedule("bands") as forks:
-        got = multi_strip_digests()
-    assert len(forks) == 1
-    assert got == MULTI_STRIP_SHA256
-
-
 def test_multi_strip_outputs_are_pinned_under_the_pipeline():
     # 21x1600 frames take the pipeline when nothing is patched
     with spied_forks() as forks, spied_schedules() as schedules:
         got = multi_strip_digests()
-    assert [slots for slots, _ in schedules] == [2]
+    assert schedules == [True]
     assert len(forks) == 1
     assert got == MULTI_STRIP_SHA256
 
@@ -194,23 +173,15 @@ def test_multi_strip_outputs_are_pinned_under_one_band():
 
 
 def test_the_schedule_follows_the_frame_size():
-    one, pipeline = (1, [(slice(0, 128), slice(0, 128))]), (2, [(slice(0, 128), slice(0, 128))])
-    assert flow._schedule(128, 128, True) == pipeline
-    assert flow._schedule(128, 128, False) == one
-    assert flow._schedule(480, 640, True) == (1, [(slice(0, 240), slice(0, 320)),
-                                                   (slice(240, 480), slice(320, 640))])
-    assert len(flow._schedule(480, 640, False)[1]) == 1
-    # 64x64, where two bands did not win 9 pairs in 10, and the square
-    # just under the threshold run in one process
-    below = math.isqrt(flow._BAND_VALUES - 1)
-    for height, width in ((64, 64), (below, below)):
-        assert flow._schedule(height, width, True)[0] == 1
-    # the pipeline runs up to the split, and a row too long for it, which
-    # has no second band, stays in the pipeline
-    side = math.isqrt(flow._SPLIT_VALUES - 1)
-    for height, width in ((96, 96), (side, side), (1, 4 * flow._SPLIT_VALUES)):
-        assert flow._schedule(height, width, True) == (2, [(slice(0, height), slice(0, width))])
-    assert len(flow._schedule(side + 1, side + 1, True)[1]) == 2
+    # 128x128 and 640x480 take the pipeline, and nothing does without a fork
+    for height, width in ((128, 128), (480, 640), (96, 96), (1, flow._HELPER_VALUES)):
+        assert flow._schedule(height, width, True)
+        assert not flow._schedule(height, width, False)
+    # 64x64, where the first helper schedule did not win 9 pairs in 10,
+    # and the square just under the threshold run in one process
+    below = math.isqrt(flow._HELPER_VALUES - 1)
+    for height, width in ((64, 64), (below, below), (1, flow._HELPER_VALUES - 1)):
+        assert not flow._schedule(height, width, True)
 
 
 def test_an_unpatched_128x128_stream_forks_one_helper_and_keeps_the_bits():
@@ -219,7 +190,7 @@ def test_an_unpatched_128x128_stream_forks_one_helper_and_keeps_the_bits():
         want = list(process_sequence(frames))
     with spied_forks() as forks, spied_schedules() as schedules:
         got = list(process_sequence(frames))
-    assert [slots for slots, _ in schedules] == [2]
+    assert schedules == [True]
     assert len(forks) == 1
     same_bits(got, want)
     assert_no_child()
@@ -230,39 +201,97 @@ FRAMES = scene(12, 16, 20, 3)
 
 def test_frames_before_the_first_result_write_no_shared_plane():
     # until the first result is due a frame only fills the delay line: no
-    # band, no plane but the ring, no I_z state, no fork and no fork check
-    for how in HELPERS:
-        checks, real_can_fork = [], flow._can_fork
+    # slot, no plane but the ring, no I_z state, no fork and no fork check;
+    # from then on each later frame n goes to the helper through inbox[n % 2]
+    checks, real_can_fork = [], flow._can_fork
 
-        def can_fork():
-            checks.append(real_can_fork())
-            return checks[-1]
+    def can_fork():
+        checks.append(real_can_fork())
+        return checks[-1]
 
-        with schedule(how) as forks, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(flow, "_can_fork", can_fork)
-            engine = flow._FlowEngine(FlowConfig(), FRAMES[0])
-            try:
-                q = engine.cfg.frame_delay
-                for frame in FRAMES[:q]:
-                    assert engine.step(frame) is None
-                    assert not hasattr(engine, "_bands") and not hasattr(engine, "_g")
-                    assert not any(isinstance(v, (np.ndarray, flow._Band, flow.FrameFilter))
-                                   for v in vars(engine).values())
-                assert (checks, forks) == ([], [])
-                results = [engine.step(frame) for frame in FRAMES[q:]] + [engine.flush()]
-                assert checks == [True] and len(forks) == 1
-                if how == "bands":
-                    assert len(engine._slots) == 1 and len(engine._bands) == 2
-                    assert len(engine._ring) == q + 1 and results[-1] is None
-                    results.pop()
-                else:  # each result comes one frame late, and flush gives the last
-                    assert len(engine._slots) == 2 and len(engine._bands) == 1
-                    assert len(engine._ring) == q + 2 and results[0] is None
-                    results.pop(0)
-                assert [r.frame_index for r in results] == list(range(len(FRAMES) - q))
-            finally:
-                engine.close()
-        assert_no_child()
+    with schedule("pipeline") as forks, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_can_fork", can_fork)
+        engine = flow._FlowEngine(FlowConfig(), FRAMES[0])
+        try:
+            q = engine.cfg.frame_delay
+            for frame in FRAMES[:q]:
+                assert engine.step(frame) is None
+                assert not hasattr(engine, "_slots") and not hasattr(engine, "_inbox")
+                assert not any(isinstance(v, (np.ndarray, flow.FrameFilter))
+                               for v in vars(engine).values())
+            assert (checks, forks) == ([], [])
+            # frame q is in the ring at the fork, so it leaves the inbox unwritten
+            results = [engine.step(FRAMES[q])]
+            assert checks == [True] and len(forks) == 1 and len(engine._slots) == 2
+            assert engine._inbox.shape == (2,) + FRAMES[0].shape and not engine._inbox.any()
+            for n in range(q + 1, len(FRAMES)):
+                results.append(engine.step(FRAMES[n]))
+                assert engine._inbox[n % 2].tobytes() == FRAMES[n].tobytes()
+            # each result comes one frame late, and flush gives the last
+            assert results[0] is None
+            results = results[1:] + [engine.flush()]
+            assert [r.frame_index for r in results] == list(range(len(FRAMES) - q))
+        finally:
+            engine.close()
+    assert_no_child()
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_a_pipelined_stream_maps_what_it_needs_and_no_more(q):
+    # 15 workspace planes for both slots, 3 gradient planes a slot, a
+    # 2-plane inbox and a ring of q + 1 frames, and the 8-byte frame index
+    made, real_shared = [], flow._shared
+
+    def shared(shape, dtype=float):
+        made.append(real_shared(shape, dtype))
+        return made[-1]
+
+    frames = scene(q + 3, 16, 20, q)
+    with schedule("pipeline") as forks, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_shared", shared)
+        got = list(process_sequence(frames, FlowConfig(temporal_q=q)))
+    assert len(forks) == 1 and len(got) == 3
+    assert sum(a.nbytes for a in made) == 8 * (15 + 2 * 3 + 2 + q + 1) * 16 * 20 + 8
+    assert_no_child()
+
+
+@pytest.mark.parametrize("refused", [False, True])
+def test_after_the_first_result_only_the_helper_holds_the_ring_and_i_z(refused):
+    # once forked, the caller drops its ring views, so their mappings close
+    # here, and never builds I_z; a refused fork keeps both here and runs
+    # every stage with no lag, with the bits of one process
+    def refuse():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    with schedule("one"):
+        want = list(process_sequence(FRAMES))
+    with schedule("pipeline") as forks, pytest.MonkeyPatch.context() as mp:
+        if refused:
+            mp.setattr(os, "fork", refuse)
+        engine = flow._FlowEngine(FlowConfig(), FRAMES[0])
+        try:
+            q = engine.cfg.frame_delay
+            for frame in FRAMES[:q]:
+                engine.step(frame)
+            # the arrays over each of the ring's mappings, which they keep open
+            ring = [weakref.ref(a) for a in {id(p.base): p.base for p in engine._ring}.values()]
+            results = [engine.step(frame) for frame in FRAMES[q:]] + [engine.flush()]
+            gc.collect()
+            if refused:
+                assert forks == [] and results[-1] is None
+                assert isinstance(engine._iz_state, flow.FrameFilter)
+                assert all(plane() is not None for plane in ring)
+                results.pop()
+            else:
+                assert len(forks) == 1 and results[0] is None
+                assert not hasattr(engine, "_iz_state") and engine._ring == []
+                assert not any(isinstance(v, flow.FrameFilter) for v in vars(engine).values())
+                assert all(plane() is None for plane in ring)
+                results.pop(0)
+            same_bits(results, want)
+        finally:
+            engine.close()
+    assert_no_child()
 
 
 @pytest.mark.parametrize("how", ["break", "close"])
@@ -344,13 +373,13 @@ def test_a_killed_helper_raises_runtime_error_and_never_hangs():
 
 
 def test_a_helper_that_fails_says_why_on_stderr(capfd):
-    # the helper runs the row passes under either schedule
+    # the helper runs the row passes
     caller, row_pass = os.getpid(), flow._FlowEngine._STAGES[1]
 
-    def row_pass_failing_in_the_helper(engine, band):
+    def row_pass_failing_in_the_helper(engine):
         if os.getpid() != caller:
             raise MemoryError("no room for the row passes")
-        row_pass(engine, band)
+        row_pass(engine)
 
     stages = (flow._FlowEngine._STAGES[0], row_pass_failing_in_the_helper,
               *flow._FlowEngine._STAGES[2:])
@@ -404,7 +433,7 @@ def test_a_refused_fork_runs_both_bands_here_and_leaks_no_pipe():
             assert forks == []
             same_bits(got, want)
             assert len(os.listdir("/proc/self/fd")) == fds
-    assert pipes == [0, 1, 2, 3]
+    assert pipes == [0, 1]
     assert_no_child()
 
 
@@ -414,12 +443,10 @@ def test_the_helper_never_flushes_what_its_caller_printed():
         "from fadefilt import flow\n"
         "from fadefilt.flow import process_sequence\n"
         "from fadefilt.synthetic import translating_plaid\n"
-        "flow._BAND_VALUES = 1\n"
+        "flow._HELPER_VALUES = 1\n"
         "print('printed once')\n"
-        "for split in (1, 2**62):  # two bands, then the pipeline\n"
-        "    flow._SPLIT_VALUES = split\n"
-        "    results = list(process_sequence(translating_plaid(8, 16, 16, (0.3, 0.1))))\n"
-        "    print(len(results))\n"
+        "results = list(process_sequence(translating_plaid(8, 16, 16, (0.3, 0.1))))\n"
+        "print(len(results))\n"
     )
     src = str(Path(flow.__file__).resolve().parent.parent)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -429,7 +456,7 @@ def test_the_helper_never_flushes_what_its_caller_printed():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "printed once\n4\n4\n"
+    assert done.stdout == "printed once\n4\n"
 
 
 def test_a_forked_child_leaves_its_parents_helper_running():
@@ -442,29 +469,27 @@ def test_a_forked_child_leaves_its_parents_helper_running():
         "from fadefilt.flow import process_sequence\n"
         "from fadefilt.synthetic import translating_plaid\n"
         "frames = translating_plaid(12, 16, 16, (0.3, 0.1))\n"
-        "flow._BAND_VALUES = 2**62\n"
+        "flow._HELPER_VALUES = 2**62\n"
         "want = list(process_sequence(frames))\n"
-        "flow._BAND_VALUES = 1\n"
+        "flow._HELPER_VALUES = 1\n"
         "def bits(results):\n"
         "    return [b''.join(a.tobytes() for a in (r.flow.vx, r.flow.vy, r.flow.valid,\n"
         "                                           r.disparity)) for r in results]\n"
-        "for split in (1, 2**62):  # two bands, then the pipeline\n"
-        "    flow._SPLIT_VALUES = split\n"
-        "    stream = process_sequence(frames)\n"
-        "    got = [next(stream), next(stream)]\n"
-        "    sys.stdout.flush()\n"
-        "    pid = os.fork()\n"
-        "    if pid == 0:\n"
-        "        sys.exit(0)\n"
-        "    assert os.waitpid(pid, 0)[1] == 0\n"
-        "    got += stream\n"
-        "    print(len(got), bits(got) == bits(want))\n"
+        "stream = process_sequence(frames)\n"
+        "got = [next(stream), next(stream)]\n"
+        "sys.stdout.flush()\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    sys.exit(0)\n"
+        "assert os.waitpid(pid, 0)[1] == 0\n"
+        "got += stream\n"
+        "print(len(got), bits(got) == bits(want))\n"
     )
     src = str(Path(flow.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "8 True\n8 True\n"
+    assert done.stdout == "8 True\n"
 
 
 def test_nothing_forks_while_a_second_thread_runs():
@@ -482,57 +507,6 @@ def test_nothing_forks_while_a_second_thread_runs():
         stop.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
-
-
-def test_a_thread_started_after_frame_0_keeps_both_bands_here():
-    # the split waits for the first result, so a thread alive then keeps
-    # the whole frame in this process as one band
-    stop = threading.Event()
-    waiter = threading.Thread(target=stop.wait)
-
-    def producer():
-        yield FRAMES[0]
-        waiter.start()
-        yield from FRAMES[1:]
-
-    try:
-        with schedule("bands") as forks, spied_schedules() as schedules:
-            got = list(process_sequence(producer()))
-    finally:
-        stop.set()
-        waiter.join(timeout=10)
-    assert not waiter.is_alive()
-    assert [(slots, len(split)) for slots, split in schedules] == [(1, 1)]
-    assert forks == []
-    with schedule("one"):
-        same_bits(got, list(process_sequence(FRAMES)))
-
-
-def test_a_thread_joined_before_the_first_result_leaves_two_bands():
-    # a thread alive at frame 0 but gone when the first result is due
-    # does not keep the stream from forking
-    stop = threading.Event()
-    waiter = threading.Thread(target=stop.wait)
-    waiter.start()
-
-    def producer():
-        yield FRAMES[0]
-        stop.set()
-        waiter.join(timeout=10)
-        yield from FRAMES[1:]
-
-    try:
-        with schedule("bands") as forks, spied_schedules() as schedules:
-            got = list(process_sequence(producer()))
-    finally:
-        stop.set()
-        waiter.join(timeout=10)
-    assert not waiter.is_alive()
-    assert [(slots, len(split)) for slots, split in schedules] == [(1, 2)]
-    assert len(forks) == 1
-    with schedule("one"):
-        same_bits(got, list(process_sequence(FRAMES)))
-    assert_no_child()
 
 
 def test_nothing_forks_when_q_exceeds_the_stream():
